@@ -460,7 +460,7 @@ def _fv_report(problem: Problem, grid: GridConfig, snap: FieldSnapshot) -> dict:
         w = 0.1
         center = sol.delta.sigma * snap.time
         window = snap.mass_in_window(center, w)
-        background = _background_mass(problem, sol.delta.sigma, center, w)
+        background = _background_mass(problem, center, w)
         report["concentration"] = {
             "window_center": center,
             "window_halfwidth": w,
@@ -475,9 +475,8 @@ def _initial_mass(problem: Problem, grid: GridConfig) -> float:
     return problem.left.rho * (0.0 - grid.x_lo) + problem.right.rho * (grid.x_hi - 0.0)
 
 
-def _background_mass(problem: Problem, sigma: float, center: float, w: float) -> float:
+def _background_mass(problem: Problem, center: float, w: float) -> float:
     lo, hi = center - w, center + w
-    shock_x = sigma  # position at t = snap.time is sigma * t == center
     return problem.left.rho * max(0.0, min(hi, center) - lo) + problem.right.rho * max(
         0.0, hi - max(lo, center)
     )

@@ -4,20 +4,20 @@ A Godunov scheme whose interface fluxes come from the exact solvers, plus a
 Lax-Friedrichs fallback, used to confirm exact solutions on grids and to
 watch mass concentrate at forming delta shocks. Interface Riemann problems
 that would produce a delta shock are fluxed with Lax-Friedrichs automatically
-(logged); data whose own solution is a delta shock or vacuum must be run with
-the Lax-Friedrichs scheme outright.
+(logged as a warning); data whose own solution is a delta shock or vacuum
+must be run with the Lax-Friedrichs scheme outright. Each time step is one
+whole-array call into ``fvcore``.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
-from . import _kernels as K
+from . import fvcore
 from .errors import (
     DomainError,
     DomainTooSmallError,
@@ -25,8 +25,8 @@ from .errors import (
     PositivityError,
     UnsupportedComparisonError,
 )
-from .models import Model, PressureParams, State, eigenvalues
-from .solver import RiemannSolution, SegmentKind, sample, solve
+from .models import PressureParams, State, eigenvalues
+from .solver import RiemannSolution, SegmentKind, sample_arrays, solve
 
 logger = logging.getLogger("chapgas.fvcheck")
 
@@ -107,14 +107,6 @@ class FieldSnapshot:
         return float(np.sum(self.rho[sel])) * self.dx
 
 
-def _model_code(p: PressureParams) -> int:
-    if p.model is Model.TRANSPORT:
-        return K.MODEL_TRANSPORT
-    if p.model is Model.GCG:
-        return K.MODEL_GCG
-    return K.MODEL_ECG
-
-
 def _project_datum(left: State, right: State, edges: np.ndarray):
     """Exact cell averages of the two-state datum (the jump sits at x = 0)."""
     lo, hi = edges[:-1], edges[1:]
@@ -168,17 +160,7 @@ def evolve(
     edges = np.linspace(g.x_lo, g.x_hi, g.cells + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
     rho, mom = _project_datum(left, right, edges)
-    rho = np.ascontiguousarray(rho, dtype=np.float64)
-    mom = np.ascontiguousarray(mom, dtype=np.float64)
-    frho = np.empty(g.cells + 1, dtype=np.float64)
-    fmom = np.empty(g.cells + 1, dtype=np.float64)
-
-    code = _model_code(p)
-    flux_fn = (
-        K.interface_fluxes_godunov
-        if g.scheme is Scheme.GODUNOV_EXACT
-        else K.interface_fluxes_lf
-    )
+    godunov = g.scheme is Scheme.GODUNOV_EXACT
     dx = g.dx
     t = 0.0
     steps: list[tuple[float, float, float]] = []
@@ -186,13 +168,10 @@ def evolve(
     mom_in = 0.0
     fallbacks = 0
     while t < g.t_end * (1.0 - 1e-14):
-        smax = K.max_abs_speed(rho, mom, p.A, p.B, p.n, p.alpha, code)
-        if not math.isfinite(smax):
-            raise NumericalLimitError(f"wave speed blew up at t={t:.6g}")
-        dt = g.t_end - t if smax <= 0.0 else min(g.cfl * dx / smax, g.t_end - t)
-        lam = dx / dt
-        fallbacks += flux_fn(rho, mom, p.A, p.B, p.n, p.alpha, code, lam, frho, fmom)
-        K.conservative_update(rho, mom, frho, fmom, dt / dx)
+        rho, mom, dt, smax, frho, fmom, nfall = fvcore.step(
+            p, rho, mom, dx, g.cfl, g.t_end - t, godunov
+        )
+        fallbacks += nfall
         worst = int(np.argmin(rho))
         if rho[worst] < 0.0:
             raise PositivityError(
@@ -206,7 +185,7 @@ def evolve(
         if len(steps) > _MAX_STEPS:
             raise NumericalLimitError("step budget exhausted")
     if fallbacks:
-        logger.info(
+        logger.warning(
             "Godunov run used the Lax-Friedrichs fallback at %d interface solves",
             fallbacks,
         )
@@ -241,18 +220,12 @@ def l1_error(snap: FieldSnapshot, sol: RiemannSolution) -> tuple[float, float]:
     if t <= 0.0:
         raise DomainError("snapshot time must be positive")
     half = 0.5 * snap.dx
-    err_rho = 0.0
-    err_mom = 0.0
-    for i in range(snap.x.shape[0]):
-        xc = snap.x[i]
-        avg_r = 0.0
-        avg_m = 0.0
-        for k in range(5):
-            pt = sample(sol, (xc + half * _GL5_X[k]) / t)
-            avg_r += _GL5_W[k] * pt.rho
-            avg_m += _GL5_W[k] * pt.rho * pt.u
-        avg_r *= 0.5
-        avg_m *= 0.5
-        err_rho += abs(snap.rho[i] - avg_r) * snap.dx
-        err_mom += abs(snap.momentum[i] - avg_m) * snap.dx
+    rho, u = sample_arrays(sol, (snap.x[:, None] + half * _GL5_X) / t)
+    avg_r = np.zeros(snap.x.shape)
+    avg_m = np.zeros(snap.x.shape)
+    for k in range(_GL5_X.size):
+        avg_r += _GL5_W[k] * rho[:, k]
+        avg_m += _GL5_W[k] * rho[:, k] * u[:, k]
+    err_rho = float(np.sum(np.abs(snap.rho - 0.5 * avg_r))) * snap.dx
+    err_mom = float(np.sum(np.abs(snap.momentum - 0.5 * avg_m))) * snap.dx
     return err_rho, err_mom

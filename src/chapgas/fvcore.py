@@ -1,0 +1,377 @@
+"""Whole-array finite-volume core: one time step over all cell interfaces.
+
+Every function here works elementwise on numpy arrays, so one step over all
+``cells + 1`` interfaces is a fixed number of array operations; the only
+Python loops run over Newton iterations and quadrature panels.
+
+Interface Riemann problems are solved the way Toro solves them for the ideal
+gas (*Riemann Solvers and Numerical Methods for Fluid Dynamics*, 3rd ed.,
+ch. 4): Newton on the wave-curve mismatch from a linearized two-wave guess,
+here in y = log rho and kept inside a sign-change bracket. The same
+safeguarded Newton inverts rarefaction fans, for the Godunov flux at xi = 0
+and for ``solver.sample``. Each element iterates on its own and stops on its
+own, so a result does not depend on which other elements share the array.
+
+Model dispatch follows the ``PressureParams`` tag: transport has no pressure,
+GCG (A = 0) uses the closed-form rarefaction integral and fan inversion, ECG
+integrates it with Kronrod-15 panels no wider than one octave in density.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from .errors import NumericalLimitError
+from .models import Model, PressureParams
+from .numerics import _WGK, _XGK
+
+# Relative density-jump threshold below which a wave counts as zero-strength.
+DEGENERATE_RTOL = 1e-10
+
+# Kronrod-15 nodes and weights, mapped from [-1, 1] to the unit interval.
+_K15_T = 0.5 * (1.0 + np.array([-x for x in _XGK[:7]] + list(_XGK[::-1])))
+_K15_W = 0.5 * np.array(_WGK + _WGK[6::-1])
+_LN2 = math.log(2.0)
+
+_EPS = 2.220446049250313e-16
+# Newton stops once a step moves y = log rho by at most this much.
+_TOL_Y = 1e-13
+# Largest Newton step in y before the root is bracketed (a factor e^4 in rho).
+_MAX_STEP_Y = 4.0
+# The representable density range the star state must lie in.
+_Y_MIN = math.log(1e-300)
+_Y_MAX = math.log(1e305)
+_MAX_ITERATIONS = 100
+
+
+def cs2(A, B, n, alpha, rho):
+    """dP/drho = A*n*rho^(n-1) + alpha*B*rho^-(alpha+1), on raw coefficients."""
+    return A * n * rho ** (n - 1.0) + alpha * B * rho ** (-(alpha + 1.0))
+
+
+def pressure(A, B, n, alpha, rho):
+    """P(rho) = A*rho^n - B*rho^-alpha, on raw coefficients."""
+    return A * rho**n - B * rho ** (-alpha)
+
+
+def _cs2_terms(p: PressureParams, y):
+    """The two terms of cs2 at rho = e^y."""
+    return p.A * p.n * np.exp((p.n - 1.0) * y), p.alpha * p.B * np.exp(-(p.alpha + 1.0) * y)
+
+
+def velocity_jump(p: PressureParams, ya, yb):
+    """Signed integral of c(rho)/rho d rho from rho = e^ya to e^yb (= integral of c dy).
+
+    Closed form for GCG; otherwise composite Kronrod-15 in y on
+    ceil(|yb - ya| / ln 2) equal panels per element, with the panel count
+    set by each element alone.
+    """
+    ya, yb = np.asarray(ya, dtype=float), np.asarray(yb, dtype=float)
+    if p.model is Model.GCG:
+        m = 0.5 * (p.alpha + 1.0)
+        k = 2.0 * math.sqrt(p.alpha * p.B) / (p.alpha + 1.0)
+        return k * (np.exp(-m * ya) - np.exp(-m * yb))
+    d = yb - ya
+    panels = np.maximum(np.ceil(np.abs(d) / _LN2), 1.0)
+    h = d / panels
+    start = ya[..., None]
+    for j in range(int(panels.max(initial=1.0))):
+        t1, t2 = _cs2_terms(p, start + h[..., None] * (j + _K15_T))
+        part = (np.sqrt(t1 + t2) * _K15_W).sum(axis=-1)
+        # Every element has a first panel; later ones only count where they exist.
+        total = part if j == 0 else total + np.where(j < panels, part, 0.0)
+    return total * h
+
+
+def _newton_increasing(fun, y, lo, hi):
+    """Root in y of an increasing function, per element, by safeguarded Newton.
+
+    ``fun(y, idx)`` returns (h, dh/dy, noise) for the elements ``idx`` at
+    ``y``; an element is done when a step moves it by at most ``_TOL_Y`` or
+    when |h| is within ``noise``, the rounding level of its terms.
+    ``lo``/``hi`` bound the root (infinite when unknown) and tighten as signs
+    are seen; a step that leaves the bracket bisects it instead, and before
+    a bracket exists steps are capped at ``_MAX_STEP_Y``. ``fun`` raises
+    when an iterate leaves the range it can evaluate. ``y``, ``lo`` and
+    ``hi`` are updated in place.
+    """
+    active = np.arange(y.size)
+    for _ in range(_MAX_ITERATIONS):
+        ya = y[active]
+        h, dh, noise = fun(ya, active)
+        below = h < 0.0  # the root lies above ya; h == 0 puts it at ya
+        la = np.where(below, ya, lo[active])
+        ha = np.where(below, hi[active], ya)
+        lo[active], hi[active] = la, ha
+        step = np.divide(-h, dh, out=np.copysign(_MAX_STEP_Y, -h), where=dh > 0.0)
+        yn = ya + np.minimum(np.maximum(step, -_MAX_STEP_Y), _MAX_STEP_Y)
+        # A step out of the bracket bisects it, unless the step is within the
+        # tolerance: then ya already sits at a bracket end, next to the root.
+        # (While one side is open, only such a step can leave the bracket.)
+        leaves = ~((yn > la) & (yn < ha)) & (np.abs(yn - ya) > _TOL_Y)
+        yn = np.where(leaves, 0.5 * (la + ha), yn)
+        yn = np.where(np.abs(h) <= noise, ya, yn)
+        y[active] = yn
+        active = active[np.abs(yn - ya) > _TOL_Y]
+        if active.size == 0:
+            return y
+    raise NumericalLimitError(f"Newton iteration did not settle in {_MAX_ITERATIONS} steps")
+
+
+def _curve_distance(p: PressureParams, base, y):
+    """Distance phi along wave curves from base densities ra to rho = e^y, and dphi/dy.
+
+    ``base`` holds ra, log ra and P(ra); its leading axes broadcast against
+    ``y``. phi is the rarefaction integral for rho <= ra and the shock jump
+    sqrt(radicand) above, so u = u_a -/+ phi on the 1-curve / backward
+    2-curve; phi is increasing in y.
+    """
+    ra, ya, pa = base
+    rho = np.exp(y)
+    t1, t2 = _cs2_terms(p, y)
+    cs2_rho = t1 + t2
+    c = np.sqrt(cs2_rho)
+    dp = rho * (t1 / p.n - t2 / p.alpha) - pa
+    gap = (rho - ra) / (ra * rho)
+    root = np.sqrt(np.maximum(gap * dp, 0.0))  # |u - u_a| across a shock
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        d_shock = np.where(root > 0.0, rho * (dp / (rho * rho) + gap * cs2_rho) / (2.0 * root), c)
+    rare = rho <= ra
+    phi = np.where(rare, 0.0, root)
+    if rare.any():  # the quadrature only where the rarefaction branch applies
+        phi[rare] = velocity_jump(p, ya[rare], np.broadcast_to(y, rare.shape)[rare])
+    return phi, np.where(rare, c, d_shock)
+
+
+def star_state(p: PressureParams, rl, ul, rr, ur):
+    """Intermediate (rho*, u*) of classical Riemann problems, elementwise.
+
+    Newton in y = log rho on the mismatch of the forward 1-curve through the
+    left state and the backward 2-curve through the right state, started
+    from the intersection of their linearizations at the two base points.
+    """
+    A, B, n, alpha = p.A, p.B, p.n, p.alpha
+    sides = np.stack([rl, rr])
+    ys = np.log(sides)
+    base = np.stack([sides, ys, pressure(A, B, n, alpha, sides)])
+    du = ul - ur
+    scale = np.abs(ul) + np.abs(ur)
+    # Each element's last evaluation: y, phi and dphi/dy of both curves.
+    seen = np.empty((5,) + du.shape)
+
+    def mismatch(y, idx):
+        phi, dphi = _curve_distance(p, base[..., idx], y)
+        seen[:, idx] = y, *phi, *dphi
+        h = phi[0] + phi[1] - du[idx]
+        if not np.isfinite(h).all() or (
+            (y.max() >= _Y_MAX or y.min() <= _Y_MIN)
+            and (((h < 0.0) & (y >= _Y_MAX)) | ((h > 0.0) & (y <= _Y_MIN))).any()
+        ):
+            raise NumericalLimitError("wave-curve intersection escaped the density range")
+        noise = 4.0 * _EPS * (scale[idx] + np.abs(phi[0]) + np.abs(phi[1]))
+        return h, dphi[0] + dphi[1], noise
+
+    cl, cr = np.sqrt(cs2(A, B, n, alpha, sides))
+    # For strong waves the linearized guess lands far out on the exponential
+    # side of a curve, where Newton only creeps; keep it within one capped
+    # step of the data, so the capped steps walk out to the root instead.
+    y0 = (du + cl * ys[0] + cr * ys[1]) / (cl + cr)
+    y = np.clip(y0, ys.min(axis=0) - _MAX_STEP_Y, ys.max(axis=0) + _MAX_STEP_Y)
+    inf = np.full(y.shape, np.inf)
+    y = _newton_increasing(mismatch, y, -inf, inf.copy())
+    # The last step moved y by at most _TOL_Y: move phi along with it.
+    y_seen, phi_l, phi_r, dphi_l, dphi_r = seen
+    dy = y - y_seen
+    return np.exp(y), 0.5 * ((ul - (phi_l + dphi_l * dy)) + (ur + (phi_r + dphi_r * dy)))
+
+
+def fan_state(p: PressureParams, sign, ra, ua, rb, xi):
+    """State (rho, u) at speed xi inside rarefaction fans, elementwise.
+
+    A fan of family 1 (``sign`` = -1) or 2 (``sign`` = +1) runs from the
+    anchor (ra, ua) on its left to density rb, along u = ua + sign*J(ra, rho)
+    with characteristic speed u + sign*c. Newton in y inverts the speed,
+    inside [log ra, log rb]; data with xi outside the fan give its nearer end.
+    """
+    ra, ua, rb, xi = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (ra, ua, rb, xi)))
+    if p.model is Model.GCG:
+        return _gcg_fan_state(p, sign, ra, ua, rb, xi)
+    ya, yb = np.log(ra), np.log(rb)
+    A, B, n, alpha = p.A, p.B, p.n, p.alpha
+
+    def residual(y, idx):
+        jump = velocity_jump(p, ya[idx], y)
+        t1, t2 = _cs2_terms(p, y)
+        c = np.sqrt(t1 + t2)
+        speed = ua[idx] + sign * (jump + c)
+        noise = 4.0 * _EPS * (np.abs(ua[idx]) + np.abs(jump) + c + np.abs(xi[idx]))
+        # d(speed)/dy = sign * (2 cs2 + rho cs2') / (2c), nonnegative times sign.
+        dh = ((n + 1.0) * t1 + (1.0 - alpha) * t2) / (2.0 * c)
+        return sign * (speed - xi[idx]), dh, noise
+
+    # Start from linear interpolation of the speed between the fan's edges.
+    lam_a = ua + sign * np.sqrt(cs2(A, B, n, alpha, ra))
+    lam_b = ua + sign * (velocity_jump(p, ya, yb) + np.sqrt(cs2(A, B, n, alpha, rb)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        frac = np.clip((xi - lam_a) / (lam_b - lam_a), 0.0, 1.0)
+    y = np.where(np.isfinite(frac), ya + frac * (yb - ya), 0.5 * (ya + yb))
+    y = _newton_increasing(residual, y, np.minimum(ya, yb), np.maximum(ya, yb))
+    return np.exp(y), ua + sign * velocity_jump(p, ya, y)
+
+
+def _gcg_fan_state(p: PressureParams, sign, ra, ua, rb, xi):
+    """``fan_state`` in closed form for A = 0.
+
+    With c = sqrt(alpha B) rho^-m, m = (alpha+1)/2, the fan speed is
+    ua + sign*(k ra^-m - q rho^-m) with k = sqrt(alpha B)/m and
+    q = k - sqrt(alpha B), so rho^-m is linear in xi. For alpha = 1 the
+    speed is the same across the fan (q = 0) and the anchor is returned.
+    """
+    m = 0.5 * (p.alpha + 1.0)
+    k = math.sqrt(p.alpha * p.B) / m
+    q = k - math.sqrt(p.alpha * p.B)
+    za, zb = ra**-m, rb**-m
+    if q == 0.0:
+        return ra.copy(), ua.copy()
+    z = np.clip((k * za - sign * (xi - ua)) / q, np.minimum(za, zb), np.maximum(za, zb))
+    return z ** (-1.0 / m), ua + sign * k * (za - z)
+
+
+def sample_classical(p: PressureParams, rl, ul, rr, ur, rs, us, xi):
+    """State at xi of classical two-wave solutions through (rs, us), elementwise.
+
+    Zero-strength waves are skipped; exactly at a shock speed the state on
+    its left is returned, as ``solver.sample`` does.
+    """
+    A, B, n, alpha = p.A, p.B, p.n, p.alpha
+    xi = np.broadcast_to(np.asarray(xi, dtype=float), np.shape(rl))
+    cl, cr, cs = (np.sqrt(cs2(A, B, n, alpha, r)) for r in (rl, rr, rs))
+    have1 = np.abs(rs - rl) > DEGENERATE_RTOL * np.maximum(rs, rl)
+    have2 = np.abs(rs - rr) > DEGENERATE_RTOL * np.maximum(rs, rr)
+    shock1, shock2 = rs > rl, rs > rr
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s1_lo = np.where(shock1, (rs * us - rl * ul) / (rs - rl), ul - cl)
+        s2_lo = np.where(shock2, (rr * ur - rs * us) / (rr - rs), us + cs)
+    s1_hi = np.where(shock1, s1_lo, us - cs)
+    s2_hi = np.where(shock2, s2_lo, ur + cr)
+
+    left = have1 & (xi <= s1_lo)
+    in_fan1 = have1 & ~shock1 & ~left & (xi <= s1_hi)
+    past1 = ~(left | in_fan1)
+    star = past1 & np.where(have2, xi <= s2_lo, have1)
+    in_fan2 = past1 & have2 & ~shock2 & ~star & (xi <= s2_hi)
+    right = past1 & have2 & ~star & ~in_fan2
+    left |= past1 & ~have1 & ~have2
+    # A fan's right edge is its right state exactly.
+    star |= in_fan1 & (xi == s1_hi)
+    in_fan1 &= xi != s1_hi
+    right |= in_fan2 & (xi == s2_hi)
+    in_fan2 &= xi != s2_hi
+
+    rho = np.where(left, rl, np.where(star, rs, rr))
+    u = np.where(left, ul, np.where(star, us, ur))
+    for sign, fan, anchor_rho, anchor_u, end_rho in (
+        (-1.0, in_fan1, rl, ul, rs),
+        (1.0, in_fan2, rs, us, rr),
+    ):
+        if fan.any():
+            rho[fan], u[fan] = fan_state(
+                p, sign, anchor_rho[fan], anchor_u[fan], end_rho[fan], xi[fan]
+            )
+    return rho, u
+
+
+def _state_flux(p: PressureParams, rho, u):
+    mass = rho * u
+    if p.model is Model.TRANSPORT:
+        return mass, mass * u
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pres = np.where(rho > 0.0, pressure(p.A, p.B, p.n, p.alpha, rho), 0.0)
+    return mass, mass * u + pres
+
+
+def _sides(a):
+    """Values left and right of each interface, with outflow ghost cells."""
+    return np.concatenate((a[:1], a)), np.concatenate((a, a[-1:]))
+
+
+def max_abs_speed(p: PressureParams, rho, u):
+    """Largest |u| + c over the cells (c = 0 for transport and empty cells)."""
+    if p.model is Model.TRANSPORT:
+        return float(np.max(np.abs(u)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = np.where(rho > 0.0, np.sqrt(cs2(p.A, p.B, p.n, p.alpha, rho)), 0.0)
+    return float(np.max(np.abs(u) + c))
+
+
+def lf_flux(p: PressureParams, rho, u, lam):
+    """Lax-Friedrichs fluxes at all interfaces, with numerical speed ``lam`` = dx/dt."""
+    frho, fmom = _state_flux(p, rho, u)
+    (rl, rr), (ul, ur) = _sides(rho), _sides(u)
+    (fl_r, fr_r), (fl_m, fr_m) = _sides(frho), _sides(fmom)
+    return (
+        0.5 * (fl_r + fr_r) - 0.5 * lam * (rr - rl),
+        0.5 * (fl_m + fr_m) - 0.5 * lam * (rr * ur - rl * ul),
+    )
+
+
+def godunov_flux(p: PressureParams, rho, u, lam):
+    """Godunov fluxes at all interfaces, and how many fell back to Lax-Friedrichs.
+
+    Interfaces whose Riemann problem has a delta shock (transport with
+    u_l > u_r, GCG in the delta region) take the Lax-Friedrichs flux;
+    vacuum and contact transport interfaces take the upwind flux.
+    """
+    frho_c, fmom_c = _state_flux(p, rho, u)
+    (rl, rr), (ul, ur) = _sides(rho), _sides(u)
+    (fl_r, fr_r), (fl_m, fr_m) = _sides(frho_c), _sides(fmom_c)
+    frho, fmom = fl_r.copy(), fl_m.copy()
+    if p.model is Model.TRANSPORT:
+        delta = ul > ur
+        upwind_right = (ul < 0.0) & ((ul == ur) | (ur <= 0.0))
+        frho = np.where(upwind_right, fr_r, frho)
+        fmom = np.where(upwind_right, fr_m, fmom)
+        vacuum = (ul < 0.0) & (ur > 0.0)
+        frho[vacuum] = 0.0
+        fmom[vacuum] = 0.0
+    else:
+        trivial = (rl == rr) & (ul == ur)
+        delta = np.zeros_like(trivial)
+        if p.model is Model.GCG:
+            m, sb = 0.5 * (p.alpha + 1.0), math.sqrt(p.B)
+            delta = ~trivial & (ur + sb * rr**-m <= ul - sb * rl**-m)
+        cls = ~trivial & ~delta
+        if cls.any():
+            sub = (rl[cls], ul[cls], rr[cls], ur[cls])
+            rs, us = star_state(p, *sub)
+            frho[cls], fmom[cls] = _state_flux(p, *sample_classical(p, *sub, rs, us, 0.0))
+    if delta.any():
+        lf_rho, lf_mom = lf_flux(p, rho, u, lam)
+        frho = np.where(delta, lf_rho, frho)
+        fmom = np.where(delta, lf_mom, fmom)
+    return frho, fmom, int(np.count_nonzero(delta))
+
+
+def step(p: PressureParams, rho, mom, dx: float, cfl: float, t_left: float, godunov: bool):
+    """One conservative update of all cells, at the CFL time step capped by ``t_left``.
+
+    Returns (rho, mom, dt, smax, frho, fmom, fallbacks): the new cell
+    averages, the step taken, the largest wave speed, the interface fluxes
+    and the number of Godunov interfaces fluxed with Lax-Friedrichs.
+    """
+    u = np.divide(mom, rho, out=np.zeros_like(mom), where=rho > 0.0)  # 0 in empty cells
+    smax = max_abs_speed(p, rho, u)
+    if not math.isfinite(smax):
+        raise NumericalLimitError("wave speed is not finite")
+    dt = t_left if smax <= 0.0 else min(cfl * dx / smax, t_left)
+    lam = dx / dt
+    if godunov:
+        frho, fmom, fallbacks = godunov_flux(p, rho, u, lam)
+    else:
+        (frho, fmom), fallbacks = lf_flux(p, rho, u, lam), 0
+    k = dt / dx
+    rho = rho - k * (frho[1:] - frho[:-1])
+    mom = mom - k * (fmom[1:] - fmom[:-1])
+    return rho, mom, dt, smax, frho, fmom, fallbacks

@@ -13,6 +13,9 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
+import numpy as np
+
+from . import fvcore
 from .errors import (
     BracketError,
     DomainError,
@@ -28,12 +31,8 @@ from .waves import (
     curve_two_u_backward,
     gcg_entropy_window,
     classify_gcg,
-    rarefaction_u,
     shock_speed,
 )
-
-# Relative density-jump threshold below which a wave counts as zero-strength.
-_DEGENERATE_RTOL = 1e-10
 
 _ROOT_TOL = ToleranceConfig(abs_tol=1e-12, rel_tol=1e-10, max_iterations=200)
 
@@ -145,7 +144,7 @@ def _wave_segment(
     p: PressureParams, fam: WaveFamily, a: State, b: State
 ) -> Optional[WaveSegment]:
     """One classical wave from ``a`` (left) to ``b`` (right), or None when degenerate."""
-    if abs(a.rho - b.rho) <= _DEGENERATE_RTOL * max(a.rho, b.rho):
+    if abs(a.rho - b.rho) <= fvcore.DEGENERATE_RTOL * max(a.rho, b.rho):
         return None
     contact_like = p.model is Model.GCG and p.alpha == 1.0
     idx = 0 if fam is WaveFamily.ONE else 1
@@ -302,21 +301,10 @@ def solve(p: PressureParams, left: State, right: State) -> RiemannSolution:
     return solve_transport(left, right)
 
 
-def _fan_state(p: PressureParams, seg: WaveSegment, xi: float) -> State:
-    """State inside a fan: solve lambda_fam(rho, u(rho)) = xi on the fan densities."""
-    anchor = seg.left
-    idx = 0 if seg.family is WaveFamily.ONE else 1
-
-    def u_of_rho(rho: float) -> float:
-        return rarefaction_u(p, seg.family, anchor, rho)
-
-    def g(rho: float) -> float:
-        return eigenvalues(p, State(rho, u_of_rho(rho)))[idx] - xi
-
-    lo = min(seg.left.rho, seg.right.rho)
-    hi = max(seg.left.rho, seg.right.rho)
-    rho = find_root(g, lo, hi, _ROOT_TOL)
-    return State(rho, u_of_rho(rho))
+def _fan_states(p: PressureParams, seg: WaveSegment, xi: np.ndarray):
+    """(rho, u) arrays inside a fan at speeds ``xi``: the core's fan inversion."""
+    sign = -1.0 if seg.family is WaveFamily.ONE else 1.0
+    return fvcore.fan_state(p, sign, seg.left.rho, seg.left.u, seg.right.rho, xi)
 
 
 def sample(sol: RiemannSolution, xi: float) -> SamplePoint:
@@ -326,28 +314,41 @@ def sample(sol: RiemannSolution, xi: float) -> SamplePoint:
     discontinuity is returned, flagged; inside a vacuum interval the value is
     (0, xi), flagged ``in_vacuum``.
     """
+    rho, u = (float(v[0]) for v in sample_arrays(sol, np.array([xi], dtype=float)))
     for seg in sol.segments:
         if seg.xi_lo == seg.xi_hi and xi == seg.xi_lo:
-            return SamplePoint(
-                seg.left.rho,
-                seg.left.u,
-                on_delta=seg.kind is SegmentKind.DELTA,
-                at_discontinuity=True,
-            )
-    for seg in sol.segments:
-        if seg.xi_lo <= xi <= seg.xi_hi:
-            if seg.kind is SegmentKind.CONSTANT:
-                return SamplePoint(seg.left.rho, seg.left.u)
-            if seg.kind is SegmentKind.VACUUM:
-                return SamplePoint(0.0, xi, in_vacuum=True)
-            if seg.kind is SegmentKind.FAN:
-                if xi == seg.xi_lo:
-                    return SamplePoint(seg.left.rho, seg.left.u)
-                if xi == seg.xi_hi:
-                    return SamplePoint(seg.right.rho, seg.right.u)
-                s = _fan_state(sol.params, seg, xi)
-                return SamplePoint(s.rho, s.u)
-    raise AssertionError(f"xi={xi!r} not covered by solution segments")  # pragma: no cover
+            return SamplePoint(rho, u, on_delta=seg.kind is SegmentKind.DELTA, at_discontinuity=True)
+    # Only a vacuum interval has zero density: states and fans are positive.
+    return SamplePoint(rho, u, in_vacuum=rho == 0.0)
+
+
+def sample_arrays(sol: RiemannSolution, xi) -> tuple[np.ndarray, np.ndarray]:
+    """Density and velocity at every xi of an array.
+
+    Segments are contiguous, so each point lies in the first segment whose
+    right end it does not pass: a point exactly at a discontinuity gets the
+    state on its left, and zero-width segments are never picked. Fan points
+    are inverted in one call into the core per fan; a vacuum gives (0, xi).
+    """
+    shape = np.shape(xi)
+    xi = np.asarray(xi, dtype=float).ravel()
+    segs = sol.segments
+    table = np.array([(s.xi_hi, s.left.rho, s.left.u) for s in segs])
+    k = np.searchsorted(table[:-1, 0], xi)
+    rho, u = table[k, 1], table[k, 2]
+    for i in set(k.tolist()):  # only the segments that points landed in
+        seg = segs[i]
+        if seg.kind is SegmentKind.VACUUM:
+            hit = k == i
+            rho[hit], u[hit] = 0.0, xi[hit]
+        elif seg.kind is SegmentKind.FAN:
+            hit = k == i
+            at_hi = hit & (xi == seg.xi_hi)
+            rho[at_hi], u[at_hi] = seg.right.rho, seg.right.u
+            inside = hit & ~at_hi
+            if inside.any():
+                rho[inside], u[inside] = _fan_states(sol.params, seg, xi[inside])
+    return rho.reshape(shape), u.reshape(shape)
 
 
 def delta_weight_at(sol: RiemannSolution, t: float) -> float:

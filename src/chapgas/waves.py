@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .errors import DegenerateError, DomainError, UnsupportedModelError
+from .errors import DegenerateError, DomainError, NumericalLimitError, UnsupportedModelError
 from .models import Model, PressureParams, State, eigenvalues, pressure, sound_speed_sq
 from .numerics import (
     DEFAULT_QUAD_TOL,
@@ -128,7 +128,7 @@ def _sqrt_radicand(p: PressureParams, rho_a: float, rho_b: float) -> float:
         if rad > _RADICAND_SLACK:
             rad = 0.0
         else:
-            raise ArithmeticError(
+            raise NumericalLimitError(
                 f"shock radicand {rad!r} negative beyond rounding slack"
             )
     return math.sqrt(rad)

@@ -279,3 +279,20 @@ def test_plot_without_problem_exits_2(tmp_path):
 
 def test_missing_subcommand_exits_2():
     assert main([]) == EXIT_INPUT
+
+
+def test_negative_shock_radicand_exits_3_without_traceback(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("chapgas.waves.shock_radicand", lambda p, a, b: -1.0)
+    path = _write(
+        tmp_path,
+        "prob.json",
+        {
+            "model": {"tag": "ecg", "A": 0.1, "B": 0.1, "n": 2.0, "alpha": 0.5},
+            "left": {"rho": 1.0, "u": 1.0},
+            "right": {"rho": 1.0, "u": -1.0},
+        },
+    )
+    assert main(["solve", "--file", path, "--out", str(tmp_path)]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error:")
+    assert "Traceback" not in err

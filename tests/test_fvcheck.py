@@ -1,3 +1,4 @@
+import logging
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from chapgas import (
     l1_error,
     solve,
 )
+from chapgas import fvcore
 from chapgas.fvcheck import FieldSnapshot, _GL5_W, _GL5_X
 from chapgas.solver import sample
 
@@ -195,3 +197,20 @@ def test_gcg_classical_godunov_runs():
     sol = solve(p, left, right)
     err, _ = l1_error(snap, sol)
     assert err < 0.05
+
+
+def test_godunov_fallback_logged_as_warning(caplog, monkeypatch):
+    real = fvcore.godunov_flux
+
+    def one_fallback_per_step(*args):
+        frho, fmom, fallbacks = real(*args)
+        return frho, fmom, fallbacks + 1
+
+    monkeypatch.setattr(fvcore, "godunov_flux", one_fallback_per_step)
+    g = GridConfig(-0.4, 0.4, 20, 0.45, 0.05)
+    with caplog.at_level(logging.WARNING, logger="chapgas.fvcheck"):
+        snap = evolve(_p_ecg(), State(1.0, 0.2), State(0.25, -0.32), g)
+    assert snap.godunov_fallbacks == len(snap.steps)
+    [record] = [r for r in caplog.records if r.name == "chapgas.fvcheck"]
+    assert record.levelno == logging.WARNING
+    assert f"at {len(snap.steps)} interface solves" in record.getMessage()

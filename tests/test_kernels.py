@@ -1,17 +1,47 @@
-"""Agreement between the jitted kernel lane and the high-level solver."""
+"""The whole-array finite-volume core against the exact solver and closed forms."""
 
 import math
 
 import numpy as np
 import pytest
 
-from chapgas import PressureParams, State, sample, solve
-from chapgas import _kernels as K
+import chapgas
+from chapgas import NumericalLimitError, PressureParams, SegmentKind, State, fvcore, sample, solve
+from chapgas.models import pressure
 from chapgas.numerics import integrate
+from chapgas.solver import sample_arrays
+from chapgas.waves import classify_gcg, curve_one_u, curve_two_u, velocity_jump_integral
+
+
+def _arrays(*values):
+    return tuple(np.array([v], dtype=float) for v in values)
+
+
+def _flux(p, rho, u):
+    return rho * u, rho * u * u + (pressure(p, rho) if rho > 0.0 else 0.0)
+
+
+def _godunov_interface_flux(p, left, right):
+    """Core Godunov flux at the one interior interface of a two-cell grid."""
+    rho = np.array([left.rho, right.rho])
+    u = np.array([left.u, right.u])
+    frho, fmom, fallbacks = fvcore.godunov_flux(p, rho, u, 10.0)
+    return frho[1], fmom[1], fallbacks
+
+
+def _assert_flux_matches_sample(p, left, right):
+    frho, fmom, fallbacks = _godunov_interface_flux(p, left, right)
+    assert fallbacks == 0
+    pt = sample(solve(p, left, right), 0.0)
+    want_rho, want_mom = _flux(p, pt.rho, pt.u)
+    assert frho == pytest.approx(want_rho, rel=1e-6, abs=1e-9)
+    assert fmom == pytest.approx(want_mom, rel=1e-6, abs=1e-9)
 
 
 def test_numba_flag_is_bool():
-    assert isinstance(K.NUMBA_ENABLED, bool)
+    # Deprecated: bound for old imports, no longer exported.
+    assert chapgas.NUMBA_ENABLED is False
+    assert "NUMBA_ENABLED" not in chapgas.__all__
 
 
 def test_kernel_integral_matches_library_quadrature():
@@ -27,7 +57,8 @@ def test_kernel_integral_matches_library_quadrature():
         def f(s):
             return math.sqrt(A * n * s ** (n - 1.0) + alpha * B * s ** (-alpha - 1.0)) / s
 
-        assert K.du_integral(A, B, n, alpha, lo, hi) == pytest.approx(
+        p = PressureParams.ecg(A, B, n, alpha)
+        assert fvcore.velocity_jump(p, math.log(lo), math.log(hi)) == pytest.approx(
             integrate(f, lo, hi), rel=1e-10, abs=1e-12
         )
 
@@ -43,9 +74,9 @@ def test_kernel_star_state_matches_solver():
         left = State(rng.uniform(0.2, 3.0), rng.uniform(-1.5, 1.5))
         right = State(rng.uniform(0.2, 3.0), rng.uniform(-1.5, 1.5))
         sol = solve(p, left, right)
-        rs, us = K.star_state(A, B, n, alpha, left.rho, left.u, right.rho, right.u)
-        assert rs == pytest.approx(sol.intermediate.rho, rel=1e-8)
-        assert us == pytest.approx(sol.intermediate.u, abs=1e-8)
+        rs, us = fvcore.star_state(p, *_arrays(left.rho, left.u, right.rho, right.u))
+        assert rs[0] == pytest.approx(sol.intermediate.rho, rel=1e-8)
+        assert us[0] == pytest.approx(sol.intermediate.u, abs=1e-8)
 
 
 def test_kernel_sample_matches_solver_sample():
@@ -59,40 +90,182 @@ def test_kernel_sample_matches_solver_sample():
         left = State(rng.uniform(0.3, 2.0), rng.uniform(-1.0, 1.0))
         right = State(rng.uniform(0.3, 2.0), rng.uniform(-1.0, 1.0))
         sol = solve(p, left, right)
-        rs, us = K.star_state(A, B, n, alpha, left.rho, left.u, right.rho, right.u)
-        for xi in rng.uniform(-3.0, 3.0, 8):
-            kr, ku = K.sample_classical(
-                A, B, n, alpha, left.rho, left.u, right.rho, right.u, rs, us, float(xi)
-            )
+        rs, us = fvcore.star_state(p, *_arrays(left.rho, left.u, right.rho, right.u))
+        xis = rng.uniform(-3.0, 3.0, 8)
+        data = (left.rho, left.u, right.rho, right.u, rs[0], us[0])
+        states = [np.full(xis.shape, v) for v in data]
+        kr, ku = fvcore.sample_classical(p, *states, xis)
+        for xi, r, u in zip(xis, kr, ku):
             pt = sample(sol, float(xi))
-            assert kr == pytest.approx(pt.rho, rel=1e-6, abs=1e-9)
-            assert ku == pytest.approx(pt.u, abs=1e-6)
+            assert r == pytest.approx(pt.rho, rel=1e-6, abs=1e-9)
+            assert u == pytest.approx(pt.u, abs=1e-6)
 
 
 def test_kernel_gcg_closed_forms():
-    # A = 0 velocity jump has a closed form; the kernel must use it exactly.
-    assert K.du_integral(0.0, 1.0, 1.0, 1.0, 0.5, 1.0) == pytest.approx(1.0, rel=1e-14)
-    assert K.du_integral(0.0, 0.0, 1.0, 1.0, 0.5, 1.0) == 0.0
+    # A = 0 velocity jump has a closed form; the core must use it exactly.
+    p = PressureParams.gcg(1.0, 1.0)
+    assert fvcore.velocity_jump(p, math.log(0.5), 0.0) == pytest.approx(1.0, rel=1e-14)
+    assert fvcore.velocity_jump(PressureParams.transport(), math.log(0.5), 0.0) == 0.0
 
 
 def test_kernel_transport_flux_cases():
+    p = PressureParams.transport()
     rho = np.array([1.0, 1.0])
-    frho = np.empty(3)
-    fmom = np.empty(3)
     # colliding states: delta at the interface, LF fallback reported
-    mom = np.array([1.0, -1.0])
-    nf = K.interface_fluxes_godunov(rho, mom, 0.0, 0.0, 1.0, 1.0, K.MODEL_TRANSPORT, 10.0, frho, fmom)
+    frho, fmom, nf = fvcore.godunov_flux(p, rho, np.array([1.0, -1.0]), 10.0)
     assert nf == 1
+    assert frho[1] == 0.5 * (1.0 - 1.0) - 0.5 * 10.0 * 0.0
+    assert fmom[1] == 0.5 * (1.0 + 1.0) - 0.5 * 10.0 * (-1.0 - 1.0)
     # expanding states: vacuum at the interface, zero flux
-    mom = np.array([-1.0, 1.0])
-    nf = K.interface_fluxes_godunov(rho, mom, 0.0, 0.0, 1.0, 1.0, K.MODEL_TRANSPORT, 10.0, frho, fmom)
+    frho, fmom, nf = fvcore.godunov_flux(p, rho, np.array([-1.0, 1.0]), 10.0)
     assert nf == 0
     assert frho[1] == 0.0 and fmom[1] == 0.0
+    # both states moving left (right): upwind from the right (left) cell
+    frho, fmom, nf = fvcore.godunov_flux(p, np.array([1.0, 2.0]), np.array([-2.0, -1.0]), 10.0)
+    assert nf == 0 and frho[1] == -2.0 and fmom[1] == 2.0
+    frho, fmom, nf = fvcore.godunov_flux(p, np.array([1.0, 2.0]), np.array([1.0, 2.0]), 10.0)
+    assert nf == 0 and frho[1] == 1.0 and fmom[1] == 1.0
+    # contact: the density jump rides with the common velocity
+    for u, want in ((0.5, 1.0 * 0.5), (-0.5, 3.0 * -0.5)):
+        frho, fmom, nf = fvcore.godunov_flux(p, np.array([1.0, 3.0]), np.array([u, u]), 10.0)
+        assert nf == 0 and frho[1] == want and fmom[1] == want * u
 
 
 def test_kernel_max_speed():
     rho = np.array([1.0, 4.0])
-    mom = np.array([2.0, -4.0])
-    assert K.max_abs_speed(rho, mom, 0.0, 0.0, 1.0, 1.0, K.MODEL_TRANSPORT) == 2.0
-    s = K.max_abs_speed(rho, mom, 0.0, 1.0, 1.0, 1.0, K.MODEL_GCG)
+    u = np.array([2.0, -1.0])
+    assert fvcore.max_abs_speed(PressureParams.transport(), rho, u) == 2.0
+    s = fvcore.max_abs_speed(PressureParams.gcg(1.0, 1.0), rho, u)
     assert s == pytest.approx(2.0 + 1.0)  # |u| + sqrt(alpha B) rho^-(alpha+1)/2 at cell 0
+
+
+def test_godunov_flux_matches_exact_sample_on_random_pairs():
+    rng = np.random.default_rng(44)
+    checked = 0
+    for k in range(60):
+        # alpha = 1 makes the GCG waves contact-like.
+        alpha = 1.0 if k % 4 == 0 else rng.uniform(0.05, 1.0)
+        if k % 2:
+            p = PressureParams.ecg(*rng.uniform(0.01, 1.0, 2), rng.uniform(1.0, 3.0), alpha)
+        else:
+            p = PressureParams.gcg(rng.uniform(0.05, 1.0), alpha)
+        left = State(rng.uniform(0.2, 3.0), rng.uniform(-1.5, 1.5))
+        right = State(rng.uniform(0.2, 3.0), rng.uniform(-1.5, 1.5))
+        if p.model is chapgas.Model.GCG and classify_gcg(p, left, right).tag == "V":
+            assert _godunov_interface_flux(p, left, right)[2] == 1
+            continue
+        _assert_flux_matches_sample(p, left, right)
+        checked += 1
+    assert checked >= 40
+
+
+def test_godunov_flux_inside_transonic_fans():
+    # Fans built from the star outward, with xi = 0 strictly inside them.
+    rng = np.random.default_rng(45)
+    for k in range(20):
+        p = PressureParams.ecg(*rng.uniform(0.05, 1.0, 2), rng.uniform(1.0, 3.0), rng.uniform(0.1, 1.0))
+        r_star, r_fan = sorted(rng.uniform(0.3, 3.0, 2))  # either fan ends at its densest state
+        jump = velocity_jump_integral(p, r_star, r_fan)
+        c_fan, c_star = (math.sqrt(chapgas.sound_speed_sq(p, r)) for r in (r_fan, r_star))
+        if k % 2 == 0:  # 1-fan from the left state down to the star: ul - c_fan < 0 < u* - c_star
+            ul = rng.uniform(c_star - jump, c_fan)
+            left = State(r_fan, ul)
+            star = State(r_star, curve_one_u(p, left, r_star))
+            r_other = rng.uniform(0.3, 3.0)
+            right = State(r_other, curve_two_u(p, star, r_other))
+            assert left.u - c_fan < 0.0 < star.u - c_star
+        else:  # 2-fan from the star up to the right state: u* + c_star < 0 < ur + c_fan
+            ur = rng.uniform(-c_fan, jump - c_star)
+            right = State(r_fan, ur)
+            star = State(r_star, ur - jump)
+            r_other = rng.uniform(0.3, 3.0)
+            # curve_one_u is u_left plus a shift that depends on the densities alone.
+            left = State(r_other, star.u - curve_one_u(p, State(r_other, 0.0), star.rho))
+            assert star.u + c_star < 0.0 < right.u + c_fan
+        fans = [s for s in solve(p, left, right).segments if s.kind is SegmentKind.FAN]
+        assert any(s.xi_lo < 0.0 < s.xi_hi for s in fans)
+        _assert_flux_matches_sample(p, left, right)
+
+
+def test_godunov_flux_near_equal_neighbours():
+    rng = np.random.default_rng(46)
+    for k in range(20):
+        p = PressureParams.ecg(*rng.uniform(0.01, 1.0, 2), rng.uniform(1.0, 3.0), rng.uniform(0.05, 1.0))
+        rho = rng.uniform(0.2, 3.0)
+        u = rng.uniform(-1.5, 1.5)
+        ratio = 1.0 + (1e-12 if k % 2 else -1e-12)
+        left, right = State(rho, u), State(rho * ratio, u + rng.uniform(-1e-12, 1e-12))
+        _assert_flux_matches_sample(p, left, right)
+
+
+_WEAK_RHO, _WEAK_U = float.fromhex("0x1.cbd22bb59aaaep+1"), float.fromhex("0x1.34da0e7ccedeap-6")
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    [
+        # Interface data from the README fv example: Newton's last step falls
+        # below the resolution of log rho while the bracket is still open below.
+        (State(_WEAK_RHO, _WEAK_U), State(_WEAK_RHO, -_WEAK_U)),
+        # |u_l - u_r| = 200: the linearized guess lies near log rho = -+200,
+        # far beyond rho* = 4.3e-4 (two fans) or 317 (two shocks).
+        # (-10, 190) puts xi = 0 inside the 1-fan; (190, -10) moves both
+        # shocks right of it.
+        (State(1.0, -100.0), State(1.0, 100.0)),
+        (State(1.0, 100.0), State(1.0, -100.0)),
+        (State(1.0, -10.0), State(1.0, 190.0)),
+        (State(1.0, 190.0), State(1.0, -10.0)),
+    ],
+)
+def test_star_state_and_flux_on_readme_parameters(left, right):
+    p = PressureParams.ecg(0.1, 0.1, 2.0, 0.5)
+    sol = solve(p, left, right)
+    rs, us = fvcore.star_state(p, *_arrays(left.rho, left.u, right.rho, right.u))
+    assert rs[0] == pytest.approx(sol.intermediate.rho, rel=1e-8)
+    assert us[0] == pytest.approx(sol.intermediate.u, abs=1e-8 * max(1.0, abs(left.u - right.u)))
+    _assert_flux_matches_sample(p, left, right)
+
+
+def test_star_state_escape_raises_numerical_limit_error():
+    # Colliding at 1e150 against a tiny pressure: rho* lies beyond 1e305.
+    p = PressureParams.ecg(1e-10, 1e-10, 1.0, 0.5)
+    with pytest.raises(NumericalLimitError):
+        fvcore.star_state(p, *_arrays(1.0, 1e150, 1.0, -1e150))
+
+
+@pytest.mark.parametrize(
+    "p, left, right",
+    [
+        (PressureParams.ecg(0.1, 0.1, 2.0, 0.5), State(1.0, 0.2), State(0.25, -0.32)),
+        (PressureParams.ecg(0.5, 0.2, 1.0, 0.3), State(0.5, -1.0), State(2.0, 1.5)),
+        (PressureParams.gcg(0.5, 0.6), State(1.0, 0.0), State(1.5, 0.9)),
+        (PressureParams.gcg(0.1, 0.5), State(1.0, 1.0), State(1.0, -1.0)),
+        (PressureParams.transport(), State(1.0, -0.5), State(2.0, 0.5)),
+        (PressureParams.transport(), State(4.0, 2.0), State(1.0, -1.0)),
+    ],
+)
+def test_sample_arrays_matches_segment_states(p, left, right):
+    sol = solve(p, left, right)
+    rng = np.random.default_rng(47)
+    lo, hi = sol.speed_range()
+    edges = [s.xi_lo for s in sol.segments[1:]] + [s.xi_hi for s in sol.segments[:-1]]
+    xis = np.concatenate([rng.uniform(lo - 1.0, hi + 1.0, 64), edges])
+    rho, u = sample_arrays(sol, xis)
+    for xi, r, v in zip(xis, rho, u):
+        # Each point is solved on its own: alone it gives the same values.
+        assert (r, v) == tuple(a[0] for a in sample_arrays(sol, [xi]))
+        pt = sample(sol, float(xi))
+        assert (r, v) == (pt.rho, pt.u)
+        seg = next(s for s in sol.segments if s.xi_lo <= xi <= s.xi_hi)
+        if seg.kind is SegmentKind.VACUUM:
+            assert (r, v) == (0.0, xi) and pt.in_vacuum
+        elif seg.kind is SegmentKind.FAN and seg.xi_lo < xi:
+            if xi == seg.xi_hi:
+                assert (r, v) == (seg.right.rho, seg.right.u)
+                continue
+            sign = -1.0 if seg.family is chapgas.WaveFamily.ONE else 1.0
+            c = math.sqrt(chapgas.sound_speed_sq(p, r))
+            assert v + sign * c == pytest.approx(xi, rel=1e-12, abs=1e-12)
+            assert min(seg.left.rho, seg.right.rho) <= r <= max(seg.left.rho, seg.right.rho)
+        else:  # a constant, or a point at the left end of the segment it opens
+            assert (r, v) == (seg.left.rho, seg.left.u)

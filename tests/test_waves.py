@@ -5,6 +5,7 @@ import pytest
 from chapgas import (
     DegenerateError,
     DomainError,
+    NumericalLimitError,
     PressureParams,
     State,
     UnsupportedModelError,
@@ -247,3 +248,9 @@ def test_curve_one_u_branches():
     assert curve_one_u(p, left, 1.0) == 0.0
     assert curve_one_u(p, left, 0.5) > 0.0
     assert curve_one_u(p, left, 2.0) < 0.0
+
+
+def test_negative_shock_radicand_raises_numerical_limit_error(monkeypatch):
+    monkeypatch.setattr("chapgas.waves.shock_radicand", lambda p, a, b: -1.0)
+    with pytest.raises(NumericalLimitError):
+        shock_u(_p_ecg(), WaveFamily.ONE, State(1.0, 0.0), 2.0)
