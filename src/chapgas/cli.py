@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import limits, svgplot
+from . import fvcore, limits, svgplot
 from .errors import ChapgasError, ScheduleError
 from .fvcheck import FieldSnapshot, GridConfig, Scheme, evolve, l1_error
 from .limits import Schedule, SweepMode, SweepReport
@@ -29,7 +29,7 @@ from .solver import (
     RiemannSolution,
     SegmentKind,
     WaveSegment,
-    sample,
+    sample_arrays,
     solve,
 )
 from .waves import WaveFamily, classify_ecg, classify_gcg, curve_one_u, curve_two_u
@@ -361,15 +361,12 @@ def _profile_rows(
         lo = span[0] - 0.2 * width - 0.05
         hi = span[1] + 0.2 * width + 0.05
     xis = np.linspace(lo, hi, samples)
-    rows = []
-    for xi in xis:
-        pt = sample(sol, float(xi))
-        pval = (
-            pressure(sol.params, pt.rho)
-            if pt.rho > 0.0
-            else 0.0
-        )
-        rows.append([float(xi) * t, float(xi), pt.rho, pt.u, pval])
+    rho, u = sample_arrays(sol, xis)
+    p = sol.params
+    pval = np.zeros_like(rho)
+    full = rho > 0.0  # zero density only in a vacuum, where the pressure is 0
+    pval[full] = fvcore.pressure(p.A, p.B, p.n, p.alpha, rho[full])
+    rows = np.column_stack([xis * t, xis, rho, u, pval]).tolist()
     return ["x", "xi", "rho", "u", "pressure"], rows
 
 
@@ -439,8 +436,9 @@ def _snapshot_csv(path: str, snap: FieldSnapshot) -> None:
     write_csv(path, ["x", "rho", "momentum", "u", "pressure"], rows)
 
 
-def _fv_report(problem: Problem, grid: GridConfig, snap: FieldSnapshot) -> dict:
-    sol = solve(problem.params, problem.left, problem.right)
+def _fv_report(
+    problem: Problem, sol: RiemannSolution, grid: GridConfig, snap: FieldSnapshot
+) -> dict:
     mass0 = _initial_mass(problem, grid)
     report: dict = {
         "scheme": grid.scheme.value,
@@ -486,6 +484,7 @@ def cmd_fv(problem: Problem, args: argparse.Namespace) -> int:
     grid = problem.grid
     if grid is None:
         raise InputError("fv needs a grid block in the problem file")
+    sol = solve(problem.params, problem.left, problem.right)
     if args.refine:
         table = []
         for level in range(4):
@@ -498,7 +497,7 @@ def cmd_fv(problem: Problem, args: argparse.Namespace) -> int:
                 grid.scheme,
             )
             snap = evolve(problem.params, problem.left, problem.right, g)
-            rep = _fv_report(problem, g, snap)
+            rep = _fv_report(problem, sol, g, snap)
             table.append(rep)
         orders = []
         if all("l1_rho" in r for r in table):
@@ -509,7 +508,7 @@ def cmd_fv(problem: Problem, args: argparse.Namespace) -> int:
         snap = evolve(problem.params, problem.left, problem.right, grid)
         if _wants(args, "csv"):
             _snapshot_csv(_out_path(args, "snapshot.csv"), snap)
-        doc = _fv_report(problem, grid, snap)
+        doc = _fv_report(problem, sol, grid, snap)
     if _wants(args, "json"):
         with open(_out_path(args, "fv_report.json"), "w", encoding="utf-8") as fh:
             fh.write(json.dumps(doc, indent=2) + "\n")

@@ -17,9 +17,8 @@ from typing import Optional
 
 from .errors import DomainError, ScheduleError
 from .models import PressureParams, State, eigenvalues
-from .solver import RiemannSolution, SegmentKind, solve_ecg
+from .solver import solve_ecg, solve_gcg
 from .waves import classify_ecg, classify_gcg, gcg_delta_region
-from .solver import _gcg_delta  # shared closed-form delta data
 
 
 class SweepMode(Enum):
@@ -173,7 +172,7 @@ def target_gcg_delta(
     p = PressureParams.gcg(B, alpha)
     if not gcg_delta_region(p, left, right):
         raise DomainError("data outside the delta-shock region of the limit model")
-    d = _gcg_delta(p, left, right)
+    d = solve_gcg(p, left, right).delta
     return d.sigma, d.weight_rate
 
 
@@ -251,20 +250,71 @@ def _converged(errs: list[float], tol: float) -> bool:
     return _errors_decreasing(errs) and errs[-1] <= tol
 
 
-def _wave_segments(sol: RiemannSolution):
-    return [s for s in sol.segments if s.kind is not SegmentKind.CONSTANT]
+def _rho_star_monotone(points: list[SweepPoint], increasing: bool) -> bool:
+    """At least two points, with rho* strictly rising (or falling) along them."""
+    rhos = [pt.rho_star for pt in points]
+    if not increasing:
+        rhos.reverse()
+    return len(rhos) > 1 and all(b > a for a, b in zip(rhos, rhos[1:]))
 
 
-def _solve_point(
-    sched: Schedule, A: float, B: float, left: State, right: State, want: str
-) -> RiemannSolution:
-    p = PressureParams.ecg(A, B, sched.n, sched.alpha)
-    region = classify_ecg(p, left, right).tag
-    if region != want:
-        raise ScheduleError(
-            f"schedule point (A={A:g}, B={B:g}) classifies {region}, need {want}"
-        )
-    return solve_ecg(p, left, right)
+def _require_below(sched: Schedule, name: str, threshold: float) -> None:
+    """Every schedule point must lie strictly below the threshold coefficient."""
+    for A, _ in sched.points:
+        if A >= threshold:
+            raise ScheduleError(
+                f"schedule point A={A:g} is not below {name}={threshold:g}"
+            )
+
+
+def _sweep_points(
+    sched: Schedule, left: State, right: State, want: str
+) -> list[SweepPoint]:
+    """Solve the datum at every schedule point; each must classify ``want``.
+
+    ``sigma1`` and ``sigma2`` are the outer speeds of the wave pair, the
+    first wave's ``xi_lo`` and the last wave's ``xi_hi``: the two shock
+    speeds of an S1S2 solution, the outer fan edges of an R1R2 one.
+    """
+    points = []
+    for A, B in sched.points:
+        p = PressureParams.ecg(A, B, sched.n, sched.alpha)
+        region = classify_ecg(p, left, right).tag
+        if region != want:
+            raise ScheduleError(
+                f"schedule point (A={A:g}, B={B:g}) classifies {region}, need {want}"
+            )
+        sol = solve_ecg(p, left, right)
+        rho, u = sol.intermediate.rho, sol.intermediate.u
+        s1, s2 = sol.speed_range()
+        arn = A * rho**sched.n
+        mass, momentum = rho * (s2 - s1), rho * u * (s2 - s1)
+        points.append(SweepPoint(A, B, rho, u, s1, s2, arn, mass, momentum))
+    return points
+
+
+def _delta_errors(points: list[SweepPoint], t: SweepTargets) -> dict[str, list[float]]:
+    """Errors against the delta-shock targets; A*rho*^n only when its limit is set."""
+    errs = {
+        "u_star": [abs(pt.u_star - t.sigma) for pt in points],
+        "sigma1": [abs(pt.sigma1 - t.sigma) for pt in points],
+        "sigma2": [abs(pt.sigma2 - t.sigma) for pt in points],
+    }
+    if t.A_rho_n_limit is not None:
+        errs["A_rho_n"] = [abs(pt.A_rho_star_n - t.A_rho_n_limit) for pt in points]
+    errs["mass_proxy"] = [abs(pt.mass_proxy - t.weight_rate_1) for pt in points]
+    errs["momentum_proxy"] = [
+        abs(pt.momentum_proxy - t.weight_rate_2) for pt in points
+    ]
+    return errs
+
+
+def _report(kind, sched, left, right, tol, points, targets, flags, errs, extras=None):
+    """The SweepReport; each final error is the last entry of its error list."""
+    final = {k: v[-1] for k, v in errs.items()}
+    return SweepReport(
+        kind, sched, left, right, tol, points, targets, flags, final, extras or {}
+    )
 
 
 def run_vanishing_pressure_sweep(
@@ -278,40 +328,19 @@ def run_vanishing_pressure_sweep(
         raise ScheduleError("concentration sweep needs a both-vanish schedule")
     if not (left.u > right.u):
         raise ScheduleError("concentration sweep needs u- > u+")
-    target = target_transport_delta(left, right)
-    arn_limit = target_A_rho_n(left, right)
-
-    points = []
-    for A, B in sched.points:
-        sol = _solve_point(sched, A, B, left, right, "S1S2")
-        mid = sol.intermediate
-        s1, s2 = (w.speed for w in _wave_segments(sol))
-        points.append(
-            SweepPoint(
-                A,
-                B,
-                mid.rho,
-                mid.u,
-                s1,
-                s2,
-                A * mid.rho**sched.n,
-                mid.rho * (s2 - s1),
-                mid.rho * mid.u * (s2 - s1),
-            )
-        )
-
-    errs = {
-        "u_star": [abs(pt.u_star - target.sigma) for pt in points],
-        "sigma1": [abs(pt.sigma1 - target.sigma) for pt in points],
-        "sigma2": [abs(pt.sigma2 - target.sigma) for pt in points],
-        "A_rho_n": [abs(pt.A_rho_star_n - arn_limit) for pt in points],
-        "mass_proxy": [abs(pt.mass_proxy - target.rate1) for pt in points],
-        "momentum_proxy": [abs(pt.momentum_proxy - target.rate2) for pt in points],
-    }
-    rhos = [pt.rho_star for pt in points]
+    d = target_transport_delta(left, right)
+    t = SweepTargets(
+        sigma=d.sigma,
+        weight_rate_1=d.rate1,
+        weight_rate_2=d.rate2,
+        w1_normalized=d.w1_rate,
+        w2_normalized=d.w2_rate,
+        A_rho_n_limit=target_A_rho_n(left, right),
+    )
+    points = _sweep_points(sched, left, right, "S1S2")
+    errs = _delta_errors(points, t)
     flags = {
-        "rho_star_increasing": len(rhos) > 1
-        and all(b > a for a, b in zip(rhos, rhos[1:])),
+        "rho_star_increasing": _rho_star_monotone(points, increasing=True),
         "u_star_converged": _converged(errs["u_star"], tol),
         "sigma1_converged": _converged(errs["sigma1"], tol),
         "sigma2_converged": _converged(errs["sigma2"], tol),
@@ -319,25 +348,7 @@ def run_vanishing_pressure_sweep(
         "mass_proxy_decreasing": _errors_decreasing(errs["mass_proxy"]),
         "momentum_proxy_decreasing": _errors_decreasing(errs["momentum_proxy"]),
     }
-    targets = SweepTargets(
-        sigma=target.sigma,
-        weight_rate_1=target.rate1,
-        weight_rate_2=target.rate2,
-        w1_normalized=target.w1_rate,
-        w2_normalized=target.w2_rate,
-        A_rho_n_limit=arn_limit,
-    )
-    return SweepReport(
-        "concentration",
-        sched,
-        left,
-        right,
-        tol,
-        points,
-        targets,
-        flags,
-        {k: v[-1] for k, v in errs.items()},
-    )
+    return _report("concentration", sched, left, right, tol, points, t, flags, errs)
 
 
 def run_vacuum_sweep(
@@ -351,53 +362,20 @@ def run_vacuum_sweep(
         raise ScheduleError("cavitation sweep needs a both-vanish schedule")
     if not (left.u < right.u):
         raise ScheduleError("cavitation sweep needs u- < u+")
-
-    points = []
-    for A, B in sched.points:
-        sol = _solve_point(sched, A, B, left, right, "R1R2")
-        mid = sol.intermediate
-        fan1, fan2 = _wave_segments(sol)
-        points.append(
-            SweepPoint(
-                A,
-                B,
-                mid.rho,
-                mid.u,
-                fan1.xi_lo,
-                fan2.xi_hi,
-                A * mid.rho**sched.n,
-                mid.rho * (fan2.xi_hi - fan1.xi_lo),
-                mid.rho * mid.u * (fan2.xi_hi - fan1.xi_lo),
-            )
-        )
-
+    t = SweepTargets(rho_star_limit=0.0, lambda1_limit=left.u, lambda2_limit=right.u)
+    points = _sweep_points(sched, left, right, "R1R2")
     errs = {
-        "lambda1_edge": [abs(pt.sigma1 - left.u) for pt in points],
-        "lambda2_edge": [abs(pt.sigma2 - right.u) for pt in points],
+        "lambda1_edge": [abs(pt.sigma1 - t.lambda1_limit) for pt in points],
+        "lambda2_edge": [abs(pt.sigma2 - t.lambda2_limit) for pt in points],
         "rho_star": [pt.rho_star for pt in points],
     }
-    rhos = [pt.rho_star for pt in points]
     flags = {
-        "rho_star_decreasing": len(rhos) > 1
-        and all(b < a for a, b in zip(rhos, rhos[1:])),
-        "rho_star_converged": rhos[-1] <= tol,
+        "rho_star_decreasing": _rho_star_monotone(points, increasing=False),
+        "rho_star_converged": points[-1].rho_star <= tol,
         "lambda1_converged": _converged(errs["lambda1_edge"], tol),
         "lambda2_converged": _converged(errs["lambda2_edge"], tol),
     }
-    targets = SweepTargets(
-        rho_star_limit=0.0, lambda1_limit=left.u, lambda2_limit=right.u
-    )
-    return SweepReport(
-        "cavitation",
-        sched,
-        left,
-        right,
-        tol,
-        points,
-        targets,
-        flags,
-        {k: v[-1] for k, v in errs.items()},
-    )
+    return _report("cavitation", sched, left, right, tol, points, t, flags, errs)
 
 
 def run_to_gcg_sweep(
@@ -414,8 +392,7 @@ def run_to_gcg_sweep(
     """
     if sched.mode is not SweepMode.A_VANISHES:
         raise ScheduleError("fixed-B sweep needs an A-vanishes schedule")
-    B = sched.B_fixed
-    gcg = PressureParams.gcg(B, sched.alpha)
+    gcg = PressureParams.gcg(sched.B_fixed, sched.alpha)
     region = classify_gcg(gcg, left, right).tag
     if region == "V":
         return _gcg_delta_branch(left, right, sched, tol)
@@ -428,48 +405,27 @@ def _gcg_delta_branch(
     left: State, right: State, sched: Schedule, tol: float
 ) -> SweepReport:
     B = sched.B_fixed
-    a0 = threshold_A0(left, right, B, sched.n, sched.alpha)
-    for A, _ in sched.points:
-        if A >= a0:
-            raise ScheduleError(f"schedule point A={A:g} is not below A0={a0:g}")
-    sigma_b, weight_rate = target_gcg_delta(left, right, B, sched.alpha)
+    _require_below(sched, "A0", threshold_A0(left, right, B, sched.n, sched.alpha))
+    sigma_b, _ = target_gcg_delta(left, right, B, sched.alpha)
     rl, ul, rr, ur = left.rho, left.u, right.rho, right.u
     rate1 = sigma_b * (rr - rl) - (rr * ur - rl * ul)
     rate2 = sigma_b * (rr * ur - rl * ul) - (
         (rr * ur**2 - B * rr**-sched.alpha) - (rl * ul**2 - B * rl**-sched.alpha)
     )
     bound = rl * (ul - ur) ** 2
-
-    points = []
-    for A, _ in sched.points:
-        sol = _solve_point(sched, A, B, left, right, "S1S2")
-        mid = sol.intermediate
-        s1, s2 = (w.speed for w in _wave_segments(sol))
-        points.append(
-            SweepPoint(
-                A,
-                B,
-                mid.rho,
-                mid.u,
-                s1,
-                s2,
-                A * mid.rho**sched.n,
-                mid.rho * (s2 - s1),
-                mid.rho * mid.u * (s2 - s1),
-            )
-        )
-
-    errs = {
-        "u_star": [abs(pt.u_star - sigma_b) for pt in points],
-        "sigma1": [abs(pt.sigma1 - sigma_b) for pt in points],
-        "sigma2": [abs(pt.sigma2 - sigma_b) for pt in points],
-        "mass_proxy": [abs(pt.mass_proxy - rate1) for pt in points],
-        "momentum_proxy": [abs(pt.momentum_proxy - rate2) for pt in points],
-    }
-    rhos = [pt.rho_star for pt in points]
+    norm = math.sqrt(1.0 + sigma_b**2)
+    t = SweepTargets(
+        sigma=sigma_b,
+        weight_rate_1=rate1,
+        weight_rate_2=rate2,
+        w1_normalized=rate1 / norm,
+        w2_normalized=rate2 / norm,
+        A_rho_n_bound=bound,
+    )
+    points = _sweep_points(sched, left, right, "S1S2")
+    errs = _delta_errors(points, t)
     flags = {
-        "rho_star_increasing": len(rhos) > 1
-        and all(b > a for a, b in zip(rhos, rhos[1:])),
+        "rho_star_increasing": _rho_star_monotone(points, increasing=True),
         "u_star_converged": _converged(errs["u_star"], tol),
         "sigma1_converged": _converged(errs["sigma1"], tol),
         "sigma2_converged": _converged(errs["sigma2"], tol),
@@ -489,66 +445,28 @@ def _gcg_delta_branch(
         "limit_residual_minus_swapped": abs(L + B * rr**-al - rl * (ul - last.u_star) ** 2),
         "limit_residual_plus_swapped": abs(L + B * rl**-al - rr * (ur - last.u_star) ** 2),
     }
-    norm = math.sqrt(1.0 + sigma_b**2)
-    targets = SweepTargets(
-        sigma=sigma_b,
-        weight_rate_1=rate1,
-        weight_rate_2=rate2,
-        w1_normalized=rate1 / norm,
-        w2_normalized=rate2 / norm,
-        A_rho_n_bound=bound,
-    )
-    return SweepReport(
-        "gcg_delta",
-        sched,
-        left,
-        right,
-        tol,
-        points,
-        targets,
-        flags,
-        {k: v[-1] for k, v in errs.items()},
-        extras,
-    )
+    return _report("gcg_delta", sched, left, right, tol, points, t, flags, errs, extras)
 
 
 def _gcg_rarefaction_branch(
     left: State, right: State, sched: Schedule, tol: float
 ) -> SweepReport:
     B = sched.B_fixed
-    a1 = threshold_A1(left, right, sched.n)
-    for A, _ in sched.points:
-        if A >= a1:
-            raise ScheduleError(f"schedule point A={A:g} is not below A1={a1:g}")
+    _require_below(sched, "A1", threshold_A1(left, right, sched.n))
     rho_lim, u_lim = gcg_two_rarefaction_limit(left, right, B, sched.alpha)
     gcg = PressureParams.gcg(B, sched.alpha)
-    lam1_lim = eigenvalues(gcg, left)[0]
-    lam2_lim = eigenvalues(gcg, right)[1]
-
-    points = []
-    for A, _ in sched.points:
-        sol = _solve_point(sched, A, B, left, right, "R1R2")
-        mid = sol.intermediate
-        fan1, fan2 = _wave_segments(sol)
-        points.append(
-            SweepPoint(
-                A,
-                B,
-                mid.rho,
-                mid.u,
-                fan1.xi_lo,
-                fan2.xi_hi,
-                A * mid.rho**sched.n,
-                mid.rho * (fan2.xi_hi - fan1.xi_lo),
-                mid.rho * mid.u * (fan2.xi_hi - fan1.xi_lo),
-            )
-        )
-
+    t = SweepTargets(
+        rho_star_limit=rho_lim,
+        u_star_limit=u_lim,
+        lambda1_limit=eigenvalues(gcg, left)[0],
+        lambda2_limit=eigenvalues(gcg, right)[1],
+    )
+    points = _sweep_points(sched, left, right, "R1R2")
     errs = {
         "rho_star": [abs(pt.rho_star - rho_lim) for pt in points],
         "u_star": [abs(pt.u_star - u_lim) for pt in points],
-        "lambda1_edge": [abs(pt.sigma1 - lam1_lim) for pt in points],
-        "lambda2_edge": [abs(pt.sigma2 - lam2_lim) for pt in points],
+        "lambda1_edge": [abs(pt.sigma1 - t.lambda1_limit) for pt in points],
+        "lambda2_edge": [abs(pt.sigma2 - t.lambda2_limit) for pt in points],
     }
     flags = {
         "rho_star_converged": _converged(errs["rho_star"], tol),
@@ -556,20 +474,4 @@ def _gcg_rarefaction_branch(
         "lambda1_converged": _converged(errs["lambda1_edge"], tol),
         "lambda2_converged": _converged(errs["lambda2_edge"], tol),
     }
-    targets = SweepTargets(
-        rho_star_limit=rho_lim,
-        u_star_limit=u_lim,
-        lambda1_limit=lam1_lim,
-        lambda2_limit=lam2_lim,
-    )
-    return SweepReport(
-        "gcg_rarefaction",
-        sched,
-        left,
-        right,
-        tol,
-        points,
-        targets,
-        flags,
-        {k: v[-1] for k, v in errs.items()},
-    )
+    return _report("gcg_rarefaction", sched, left, right, tol, points, t, flags, errs)

@@ -29,8 +29,8 @@ from .waves import (
     WaveFamily,
     curve_one_u,
     curve_two_u_backward,
+    gcg_delta_region,
     gcg_entropy_window,
-    classify_gcg,
     shock_speed,
 )
 
@@ -245,7 +245,7 @@ def solve_gcg(p: PressureParams, left: State, right: State) -> RiemannSolution:
         raise DomainError("Riemann data must have positive densities")
     if left == right:
         return RiemannSolution(p, left, right, (_constant(left, -math.inf, math.inf),))
-    if classify_gcg(p, left, right).tag == "V":
+    if gcg_delta_region(p, left, right):
         d = _gcg_delta(p, left, right)
         segs = (
             _constant(left, -math.inf, d.sigma),

@@ -2,12 +2,13 @@ import json
 
 import pytest
 
-from chapgas import PressureParams, State, solve
+from chapgas import PressureParams, State, pressure, sample, solve
 from chapgas.cli import (
     EXIT_INPUT,
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_SOFT_FAIL,
+    console_main,
     main,
     solution_from_dict,
     solution_to_dict,
@@ -296,3 +297,67 @@ def test_negative_shock_radicand_exits_3_without_traceback(tmp_path, capsys, mon
     err = capsys.readouterr().err
     assert err.startswith("numerical error:")
     assert "Traceback" not in err
+
+
+def test_fv_refine_solves_the_datum_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(p, left, right):
+        calls.append((left, right))
+        return solve(p, left, right)
+
+    monkeypatch.setattr("chapgas.cli.solve", counted)
+    path = _write(
+        tmp_path,
+        "fv.json",
+        {
+            "model": {"tag": "ecg", "A": 0.1, "B": 0.1, "n": 2.0, "alpha": 0.5},
+            "left": {"rho": 1.0, "u": 0.2},
+            "right": {"rho": 0.25, "u": -0.32},
+            "grid": {"x_lo": -0.4, "x_hi": 0.4, "cells": 12, "cfl": 0.45,
+                     "t_end": 0.1, "scheme": "godunov"},
+        },
+    )
+    assert main(["fv", "--file", path, "--refine", "--out", str(tmp_path)]) == EXIT_OK
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "model, left, right",
+    [
+        ({"tag": "ecg", "A": 0.1, "B": 0.1, "n": 2.0, "alpha": 0.5}, (1.0, -1.0), (1.0, 1.0)),
+        ({"tag": "ecg", "A": 0.01, "B": 0.5, "n": 1.5, "alpha": 0.3}, (1.0, -1.0), (2.0, 1.0)),
+        ({"tag": "gcg", "B": 0.3, "alpha": 0.5}, (1.0, -1.0), (2.0, 1.0)),
+        ({"tag": "transport"}, (1.0, -1.0), (1.0, 1.0)),
+    ],
+)
+def test_profile_csv_matches_pointwise_sample(tmp_path, model, left, right):
+    path = _write(
+        tmp_path,
+        "prob.json",
+        {
+            "model": model,
+            "left": {"rho": left[0], "u": left[1]},
+            "right": {"rho": right[0], "u": right[1]},
+        },
+    )
+    args = ["solve", "--file", path, "--out", str(tmp_path), "--samples", "101"]
+    assert main(args) == EXIT_OK
+    sol = solution_from_dict(json.loads((tmp_path / "solution.json").read_text()))
+    lines = (tmp_path / "profile.csv").read_text().splitlines()[1:]
+    assert len(lines) == 101
+    for line in lines:
+        x, xi, rho, u, pres = (float(v) for v in line.split(","))
+        pt = sample(sol, xi)
+        assert (rho, u) == (pt.rho, pt.u)
+        want = pressure(sol.params, pt.rho) if pt.rho > 0.0 else 0.0
+        assert abs(pres - want) <= 1e-15 * abs(want)
+
+
+def test_console_script_entry_point(monkeypatch, capsys):
+    argv = "chapgas classify --model ecg --A 0.1 --B 0.1 --n 2 --alpha 0.5 --left 1,1 --right 1,-1"
+    monkeypatch.setattr("sys.argv", argv.split())
+    with pytest.raises(SystemExit) as exc:
+        console_main()
+    assert exc.value.code == EXIT_OK
+    assert capsys.readouterr().out == "S1S2\n"

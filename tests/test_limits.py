@@ -7,6 +7,7 @@ from chapgas import (
     DomainError,
     PressureParams,
     ScheduleError,
+    SegmentKind,
     State,
     classify_ecg,
     classify_gcg,
@@ -243,3 +244,108 @@ def test_two_rarefaction_limit_formula():
     rho, u = gcg_two_rarefaction_limit(State(1, 0), State(1, 3), 1.0, 1.0)
     assert rho == pytest.approx(0.4, rel=1e-14)
     assert u == pytest.approx(1.5, rel=1e-14)
+
+
+# Report structure of the four acceptance sweeps. The ordered names are what
+# sweep.json and the CLI print, and all_converged ANDs whatever flags exist,
+# so a dropped or renamed flag would otherwise go unnoticed.
+_DELTA_TARGETS = [
+    "sigma",
+    "weight_rate_1",
+    "weight_rate_2",
+    "w1_normalized",
+    "w2_normalized",
+]
+_SWEEP_STRUCTURE = {
+    "concentration": (
+        run_vanishing_pressure_sweep,
+        State(1, 1),
+        State(1, -1),
+        Schedule.both_vanish_decades(1, 7, 2.0, 0.5),
+        [
+            "rho_star_increasing",
+            "u_star_converged",
+            "sigma1_converged",
+            "sigma2_converged",
+            "A_rho_n_decreasing",
+            "mass_proxy_decreasing",
+            "momentum_proxy_decreasing",
+        ],
+        ["u_star", "sigma1", "sigma2", "A_rho_n", "mass_proxy", "momentum_proxy"],
+        _DELTA_TARGETS + ["A_rho_n_limit"],
+        [],
+    ),
+    "cavitation": (
+        run_vacuum_sweep,
+        State(1, -1),
+        State(1, 1),
+        Schedule.both_vanish_decades(1, 7, 2.0, 0.5),
+        [
+            "rho_star_decreasing",
+            "rho_star_converged",
+            "lambda1_converged",
+            "lambda2_converged",
+        ],
+        ["lambda1_edge", "lambda2_edge", "rho_star"],
+        ["rho_star_limit", "lambda1_limit", "lambda2_limit"],
+        [],
+    ),
+    "gcg_delta": (
+        run_to_gcg_sweep,
+        State(1, 1),
+        State(1, -1),
+        Schedule.a_vanishes_decades(0.01, 3, 8, 2.0, 1.0),
+        [
+            "rho_star_increasing",
+            "u_star_converged",
+            "sigma1_converged",
+            "sigma2_converged",
+            "A_rho_n_bounded",
+            "mass_proxy_decreasing",
+            "momentum_proxy_decreasing",
+        ],
+        ["u_star", "sigma1", "sigma2", "mass_proxy", "momentum_proxy"],
+        _DELTA_TARGETS + ["A_rho_n_bound"],
+        [
+            "limit_residual_minus_consistent",
+            "limit_residual_plus_consistent",
+            "limit_residual_minus_swapped",
+            "limit_residual_plus_swapped",
+        ],
+    ),
+    "gcg_rarefaction": (
+        run_to_gcg_sweep,
+        State(1, 0),
+        State(1, 3),
+        Schedule.a_vanishes_decades(1.0, 1, 8, 2.0, 1.0),
+        [
+            "rho_star_converged",
+            "u_star_converged",
+            "lambda1_converged",
+            "lambda2_converged",
+        ],
+        ["rho_star", "u_star", "lambda1_edge", "lambda2_edge"],
+        ["rho_star_limit", "u_star_limit", "lambda1_limit", "lambda2_limit"],
+        [],
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", list(_SWEEP_STRUCTURE))
+def test_sweep_report_structure(kind):
+    run, left, right, sched, flags, errors, targets, extras = _SWEEP_STRUCTURE[kind]
+    rep = run(left, right, sched)
+    assert rep.kind == kind
+    assert list(rep.flags) == flags
+    assert list(rep.final_errors) == errors
+    assert [k for k, v in vars(rep.targets).items() if v is not None] == targets
+    assert list(rep.extras) == extras
+    assert [(pt.A, pt.B) for pt in rep.points] == list(sched.points)
+    # sigma1/sigma2 are the shock speeds (S1S2) or the outer fan edges (R1R2).
+    wave = SegmentKind.FAN if kind in ("cavitation", "gcg_rarefaction") else SegmentKind.SHOCK
+    for pt in rep.points:
+        p = PressureParams.ecg(pt.A, pt.B, sched.n, sched.alpha)
+        w1, w2 = (s for s in solve_ecg(p, left, right).segments if s.kind is wave)
+        assert (pt.sigma1, pt.sigma2) == (w1.xi_lo, w2.xi_hi)
+        if wave is SegmentKind.SHOCK:
+            assert (pt.sigma1, pt.sigma2) == (w1.speed, w2.speed)

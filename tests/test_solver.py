@@ -106,6 +106,18 @@ def test_gcg_delta_generalized_jump_conditions():
         )
 
 
+def test_gcg_delta_exactly_in_classified_region_v():
+    from chapgas.waves import classify_gcg
+
+    rng = np.random.default_rng(47)
+    for _ in range(200):
+        p = PressureParams.gcg(rng.uniform(1e-3, 1.0), rng.uniform(0.05, 1.0))
+        left = State(rng.uniform(0.1, 4.0), rng.uniform(-2.0, 2.0))
+        right = State(rng.uniform(0.1, 4.0), rng.uniform(-2.0, 2.0))
+        has_delta = solve_gcg(p, left, right).delta is not None
+        assert has_delta == (classify_gcg(p, left, right).tag == "V")
+
+
 def test_transport_symmetric_delta():
     sol = solve_transport(State(1.0, 1.0), State(1.0, -1.0))
     assert sol.delta.sigma == 0.0
