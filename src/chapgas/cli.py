@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from . import fvcore, limits, svgplot
-from .errors import ChapgasError, ScheduleError
+from .errors import ChapgasError, NumericalLimitError, ScheduleError
 from .fvcheck import FieldSnapshot, GridConfig, Scheme, evolve, l1_error
 from .limits import Schedule, SweepMode, SweepReport
 from .models import Model, PressureParams, State, pressure
@@ -140,6 +140,8 @@ def _grid_from_block(block: dict) -> GridConfig:
 
 
 def load_problem(args: argparse.Namespace) -> Problem:
+    if (args.samples or 0) < 0:
+        raise InputError(f"--samples must be >= 0, got {args.samples}")
     file_data: dict = {}
     if args.file:
         try:
@@ -365,7 +367,10 @@ def _profile_rows(
     p = sol.params
     pval = np.zeros_like(rho)
     full = rho > 0.0  # zero density only in a vacuum, where the pressure is 0
-    pval[full] = fvcore.pressure(p.A, p.B, p.n, p.alpha, rho[full])
+    with np.errstate(over="ignore"):
+        pval[full] = fvcore.pressure(p.A, p.B, p.n, p.alpha, rho[full])
+    if not np.isfinite(pval).all():
+        raise NumericalLimitError("pressure beyond the float range in the profile")
     rows = np.column_stack([xis * t, xis, rho, u, pval]).tolist()
     return ["x", "xi", "rho", "u", "pressure"], rows
 
@@ -516,6 +521,7 @@ def cmd_fv(problem: Problem, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _phase_series(problem: Problem) -> list[svgplot.Series]:
     p, left = problem.params, problem.left
     rho0 = left.rho

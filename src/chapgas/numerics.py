@@ -1,8 +1,9 @@
-"""Scalar numerical kernels: adaptive quadrature and bracketed root finding.
+"""Scalar numerical kernels: bracketed root finding, plus quadrature oracles.
 
-These are deliberately small and self-contained so the wave-curve code can
-state exactly what accuracy it gets. The closed-form velocity-jump helpers at
-the bottom double as independent test oracles for the quadrature path.
+``expand_bracket`` and ``find_root`` bisect the wave-curve intersection in
+``solver.solve``. Rarefaction integrals are ``fvcore.velocity_jump``'s, built
+on the Kronrod constants below; the adaptive ``integrate`` and the closed
+forms at the bottom are only oracles the tests check that rule against.
 """
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ intervals. Zero-width segments (shock/contact/delta) carry their speed as
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -181,9 +182,11 @@ def _assemble(
     return tuple(segs)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow raises NumericalLimitError
 def _solve_two_wave(p: PressureParams, left: State, right: State) -> RiemannSolution:
     """Intersect the forward 1-curve with the backward 2-curve and assemble."""
 
+    @functools.cache  # expand_bracket and find_root re-evaluate bracket ends
     def mismatch(rho: float) -> float:
         return curve_one_u(p, left, rho) - curve_two_u_backward(p, right, rho)
 

@@ -5,6 +5,9 @@ density, shock branch above) and the forward 2-curve (shock below, rarefaction
 above) split the upper half plane into the four classical regions; the GCG
 model adds a fifth, delta-shock region beyond the asymptote locus of the
 backward shock curve.
+
+The rarefaction integral is a scalar call into ``fvcore.velocity_jump``: exact
+solves, classification, sweeps and the finite-volume core share one rule.
 """
 
 from __future__ import annotations
@@ -13,14 +16,11 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
+import numpy as np
+
+from . import fvcore
 from .errors import DegenerateError, DomainError, NumericalLimitError, UnsupportedModelError
-from .models import Model, PressureParams, State, eigenvalues, pressure, sound_speed_sq
-from .numerics import (
-    DEFAULT_QUAD_TOL,
-    ToleranceConfig,
-    gcg_velocity_jump,
-    integrate,
-)
+from .models import Model, PressureParams, State, eigenvalues, pressure
 
 # Rounding slack for the shock-curve radicand near the base point.
 _RADICAND_SLACK = -1e-14
@@ -66,29 +66,20 @@ class RegionGCG:
         return "IV"
 
 
-def velocity_jump_integral(
-    p: PressureParams,
-    rho_lo: float,
-    rho_hi: float,
-    tol: ToleranceConfig = DEFAULT_QUAD_TOL,
-) -> float:
+def velocity_jump_integral(p: PressureParams, rho_lo: float, rho_hi: float) -> float:
     """Integral over [rho_lo, rho_hi] of c(s)/s ds along a rarefaction curve.
 
-    Uses the closed form when A = 0 and adaptive quadrature otherwise.
+    A scalar call into ``fvcore.velocity_jump``; beyond the float range it
+    raises NumericalLimitError, and numpy warns unless the caller silences it.
     """
     if rho_lo > rho_hi:
         raise DomainError("need rho_lo <= rho_hi")
     if rho_lo == rho_hi:
         return 0.0
-    if p.A == 0.0:
-        if p.B == 0.0:
-            return 0.0
-        return gcg_velocity_jump(p.B, p.alpha, rho_lo, rho_hi)
-
-    def integrand(s: float) -> float:
-        return math.sqrt(sound_speed_sq(p, s)) / s
-
-    return integrate(integrand, rho_lo, rho_hi, tol)
+    jump = float(fvcore.velocity_jump(p, math.log(rho_lo), math.log(rho_hi)))
+    if not math.isfinite(jump):
+        raise NumericalLimitError(f"rarefaction integral over [{rho_lo!r}, {rho_hi!r}] overflows")
+    return jump
 
 
 def rarefaction_u(
@@ -123,15 +114,13 @@ def shock_radicand(p: PressureParams, rho_a: float, rho_b: float) -> float:
 
 
 def _sqrt_radicand(p: PressureParams, rho_a: float, rho_b: float) -> float:
-    rad = shock_radicand(p, rho_a, rho_b)
-    if rad < 0.0:
-        if rad > _RADICAND_SLACK:
-            rad = 0.0
-        else:
-            raise NumericalLimitError(
-                f"shock radicand {rad!r} negative beyond rounding slack"
-            )
-    return math.sqrt(rad)
+    try:
+        rad = shock_radicand(p, rho_a, rho_b)
+    except (OverflowError, ZeroDivisionError):  # densities near the ends of the float range
+        rad = math.nan
+    if not _RADICAND_SLACK < rad < math.inf:
+        raise NumericalLimitError(f"shock radicand {rad!r} out of range at {rho_a!r}, {rho_b!r}")
+    return math.sqrt(max(rad, 0.0))
 
 
 def shock_u(p: PressureParams, fam: WaveFamily, from_state: State, rho: float) -> float:
@@ -216,6 +205,7 @@ def curve_two_u_backward(p: PressureParams, right: State, rho: float) -> float:
     return right.u
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _classify_by_curves(
     p: PressureParams, left: State, right: State
 ) -> tuple[str, tuple[str, ...]]:

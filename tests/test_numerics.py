@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import chapgas
 from chapgas import AccuracyError, BracketError, DomainError, ToleranceConfig
 from chapgas.numerics import (
     expand_bracket,
@@ -175,3 +176,8 @@ def test_quadrature_matches_polytropic_closed_form():
         assert integrate(f, lo, hi) == pytest.approx(
             polytropic_velocity_jump(A, n, lo, hi), rel=1e-8
         )
+
+
+def test_integrate_is_a_test_oracle_only():
+    assert "integrate" not in chapgas.__all__
+    assert "integrate" not in dir(chapgas)

@@ -19,11 +19,26 @@ from chapgas import (
     shock_u,
     solve_ecg,
 )
-from chapgas.waves import curve_one_u, gcg_entropy_window, rh_residuals
+from chapgas.waves import curve_one_u, gcg_entropy_window, rh_residuals, velocity_jump_integral
 
 # Velocity on the 1-rarefaction curve through (1, 0) at rho = 0.5 for
 # A = 1, B = 1, n = 2, alpha = 0.5, frozen from a 2e6-panel midpoint sum.
 RAREF_U_ORACLE = 1.0561161410015616
+
+
+# The rarefaction integral over [lo, hi] of c(s)/s ds, as the integral of
+# c(e^y) dy in y = log s by mpmath tanh-sinh quadrature at 60 digits on 400
+# equal panels (800 panels agree to all 60), rounded to 40 digits.
+VELOCITY_JUMP_REFERENCES = [
+    # Near-vanishing pressure, where c is tiny.
+    ((1e-14, 1e-14, 2.0, 0.5), 0.5, 2.0, "2.291809350012638396838462939339482288281e-7"),
+    # The README parameters across 150 decades of density.
+    ((0.1, 0.1, 2.0, 0.5), 1e-150, 1.0, "9.428090415820633875845096315679905460214e111"),
+    ((0.3, 0.2, 1.0, 0.7), 0.1, 5.0, "3.974449921947559154807958896722188094179"),
+    ((0.3, 0.2, 3.0, 0.3), 0.2, 40.0, "38.10591282551764633676459774809339424168"),
+    # GCG, B = 0.4, alpha = 1.
+    ((0.0, 0.4, 1.0, 1.0), 0.01, 3.0, "63.03473469268969511751407244348528096491"),
+]
 
 
 def _p_ecg(A=0.1, B=0.1, n=2.0, alpha=0.5):
@@ -46,6 +61,20 @@ def test_rarefaction_ecg_quadrature_vs_oracle():
     p = PressureParams.ecg(1.0, 1.0, 2.0, 0.5)
     u = rarefaction_u(p, WaveFamily.ONE, State(1.0, 0.0), 0.5)
     assert u == pytest.approx(RAREF_U_ORACLE, abs=1e-8)
+
+
+@pytest.mark.parametrize("coefs, lo, hi, want", VELOCITY_JUMP_REFERENCES)
+def test_velocity_jump_integral_matches_mpmath(coefs, lo, hi, want):
+    A, B, n, alpha = coefs
+    p = PressureParams.ecg(A, B, n, alpha) if A > 0.0 else PressureParams.gcg(B, alpha)
+    assert abs(velocity_jump_integral(p, lo, hi) - float(want)) <= 1e-13 * float(want)
+
+
+def test_velocity_jump_integral_ends():
+    p = _p_ecg()
+    assert velocity_jump_integral(p, 0.7, 0.7) == 0.0
+    with pytest.raises(DomainError):
+        velocity_jump_integral(p, 2.0, 1.0)
 
 
 def test_rarefaction_wrong_side():
