@@ -19,11 +19,11 @@ from typing import Optional
 
 import numpy as np
 
-from . import fvcore, limits, svgplot
+from . import limits, svgplot
 from .errors import ChapgasError, NumericalLimitError, ScheduleError
 from .fvcheck import FieldSnapshot, GridConfig, Scheme, evolve, l1_error
 from .limits import Schedule, SweepMode, SweepReport
-from .models import Model, PressureParams, State, pressure
+from .models import Model, PressureParams, State, gcg_asymptote, pressure
 from .solver import (
     DeltaShock,
     RiemannSolution,
@@ -352,6 +352,20 @@ def _wants(args: argparse.Namespace, fmt: str) -> bool:
     return args.format is None or args.format == fmt
 
 
+def _pressure_column(p: PressureParams, rho: np.ndarray) -> list[float]:
+    """``models.pressure`` at each density, and 0 where rho = 0 (only in a vacuum).
+
+    Evaluated per density because numpy's vector pow can differ in the last bit.
+    """
+    try:
+        pval = [pressure(p, r) if r > 0.0 else 0.0 for r in rho.tolist()]
+    except OverflowError as exc:
+        raise NumericalLimitError("pressure beyond the float range") from exc
+    if not all(math.isfinite(v) for v in pval):
+        raise NumericalLimitError("pressure beyond the float range")
+    return pval
+
+
 def _profile_rows(
     sol: RiemannSolution, t: float, samples: int
 ) -> tuple[list[str], list[list[float]]]:
@@ -364,14 +378,7 @@ def _profile_rows(
         hi = span[1] + 0.2 * width + 0.05
     xis = np.linspace(lo, hi, samples)
     rho, u = sample_arrays(sol, xis)
-    p = sol.params
-    pval = np.zeros_like(rho)
-    full = rho > 0.0  # zero density only in a vacuum, where the pressure is 0
-    with np.errstate(over="ignore"):
-        pval[full] = fvcore.pressure(p.A, p.B, p.n, p.alpha, rho[full])
-    if not np.isfinite(pval).all():
-        raise NumericalLimitError("pressure beyond the float range in the profile")
-    rows = np.column_stack([xis * t, xis, rho, u, pval]).tolist()
+    rows = np.column_stack([xis * t, xis, rho, u, _pressure_column(sol.params, rho)]).tolist()
     return ["x", "xi", "rho", "u", "pressure"], rows
 
 
@@ -432,12 +439,8 @@ def cmd_sweep(problem: Problem, args: argparse.Namespace) -> int:
 
 
 def _snapshot_csv(path: str, snap: FieldSnapshot) -> None:
-    u = snap.velocity
-    rows = []
-    for i in range(snap.x.shape[0]):
-        rho = float(snap.rho[i])
-        pval = pressure(snap.params, rho) if rho > 0.0 else 0.0
-        rows.append([float(snap.x[i]), rho, float(snap.momentum[i]), float(u[i]), pval])
+    pval = _pressure_column(snap.params, snap.rho)
+    rows = np.column_stack([snap.x, snap.rho, snap.momentum, snap.velocity, pval]).tolist()
     write_csv(path, ["x", "rho", "momentum", "u", "pressure"], rows)
 
 
@@ -537,11 +540,9 @@ def _phase_series(problem: Problem) -> list[svgplot.Series]:
     series.append(svgplot.Series(s2, list(rhos_lo), "S2"))
     series.append(svgplot.Series(r2, list(rhos_hi), "R2"))
     if p.model is Model.GCG:
-        m = 0.5 * (p.alpha + 1.0)
-        asym = left.u - math.sqrt(p.B) * left.rho**-m
         rhos = np.geomspace(rho0 * 1e-3, rho0 * 1e3, 200)
-        sdelta = [asym - math.sqrt(p.B) * float(r) ** -m for r in rhos]
-        series.append(svgplot.Series(sdelta, list(rhos), "S_delta", dashed=True))
+        sdelta = left.u - gcg_asymptote(p, left.rho) - gcg_asymptote(p, rhos)
+        series.append(svgplot.Series(list(sdelta), list(rhos), "S_delta", dashed=True))
     series.append(
         svgplot.Series([problem.right.u], [problem.right.rho], "right", marker=True)
     )

@@ -15,6 +15,7 @@ own, so a result does not depend on which other elements share the array.
 Model dispatch follows the ``PressureParams`` tag: transport has no pressure,
 GCG (A = 0) uses the closed-form rarefaction integral and fan inversion, ECG
 integrates it with Kronrod-15 panels no wider than one octave in density.
+``pressure``, ``cs2`` and the GCG asymptote are the pressure law of ``models``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import math
 import numpy as np
 
 from .errors import NumericalLimitError
-from .models import Model, PressureParams
+from .models import Model, PressureParams, cs2_law as cs2, gcg_asymptote, pressure_law as pressure
 from .numerics import _WGK, _XGK
 
 # Relative density-jump threshold below which a wave counts as zero-strength.
@@ -44,16 +45,6 @@ _MAX_STEP_Y = 4.0
 _Y_MIN = math.log(1e-300)
 _Y_MAX = math.log(1e305)
 _MAX_ITERATIONS = 100
-
-
-def cs2(A, B, n, alpha, rho):
-    """dP/drho = A*n*rho^(n-1) + alpha*B*rho^-(alpha+1), on raw coefficients."""
-    return A * n * rho ** (n - 1.0) + alpha * B * rho ** (-(alpha + 1.0))
-
-
-def pressure(A, B, n, alpha, rho):
-    """P(rho) = A*rho^n - B*rho^-alpha, on raw coefficients."""
-    return A * rho**n - B * rho ** (-alpha)
 
 
 def _cs2_terms(p: PressureParams, y):
@@ -105,7 +96,10 @@ def _newton_increasing(fun, y, lo, hi):
         la = np.where(below, ya, lo[active])
         ha = np.where(below, hi[active], ya)
         lo[active], hi[active] = la, ha
-        step = np.divide(-h, dh, out=np.copysign(_MAX_STEP_Y, -h), where=dh > 0.0)
+        # A derivative that is 0 or not finite gives no step size (-h/inf would
+        # read as converged): take a capped step toward the root instead.
+        good = (dh > 0.0) & (dh < np.inf)
+        step = np.divide(-h, dh, out=np.copysign(_MAX_STEP_Y, -h), where=good)
         yn = ya + np.minimum(np.maximum(step, -_MAX_STEP_Y), _MAX_STEP_Y)
         # A step out of the bracket bisects it, unless the step is within the
         # tolerance: then ya already sits at a bracket end, next to the root.
@@ -133,11 +127,12 @@ def _curve_distance(p: PressureParams, base, y):
     t1, t2 = _cs2_terms(p, y)
     cs2_rho = t1 + t2
     c = np.sqrt(cs2_rho)
-    dp = rho * (t1 / p.n - t2 / p.alpha) - pa
-    gap = (rho - ra) / (ra * rho)
-    root = np.sqrt(np.maximum(gap * dp, 0.0))  # |u - u_a| across a shock
+    dp = rho * (t1 / p.n - t2 / p.alpha) - pa  # P(rho) - P(ra), from the cs2 terms
+    # |u - u_a| across a shock: the radicand of models.shock_radicand, dp at hand.
+    root = np.sqrt(np.maximum((1.0 / ra - 1.0 / rho) * dp, 0.0))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        d_shock = np.where(root > 0.0, rho * (dp / (rho * rho) + gap * cs2_rho) / (2.0 * root), c)
+        # d root/dy, with no rho*rho or ra*rho product that would overflow or underflow.
+        d_shock = np.where(root > 0.0, (dp / rho + (rho / ra - 1.0) * cs2_rho) / (2.0 * root), c)
     rare = rho <= ra
     phi = np.where(rare, 0.0, root)
     if rare.any():  # the quadrature only where the rarefaction branch applies
@@ -340,8 +335,7 @@ def godunov_flux(p: PressureParams, rho, u, lam):
         trivial = (rl == rr) & (ul == ur)
         delta = np.zeros_like(trivial)
         if p.model is Model.GCG:
-            m, sb = 0.5 * (p.alpha + 1.0), math.sqrt(p.B)
-            delta = ~trivial & (ur + sb * rr**-m <= ul - sb * rl**-m)
+            delta = ~trivial & (ur + gcg_asymptote(p, rr) <= ul - gcg_asymptote(p, rl))
         cls = ~trivial & ~delta
         if cls.any():
             sub = (rl[cls], ul[cls], rr[cls], ur[cls])

@@ -18,7 +18,7 @@ from typing import Optional
 from .errors import DomainError, ScheduleError
 from .models import PressureParams, State, eigenvalues
 from .solver import solve_ecg, solve_gcg
-from .waves import classify_ecg, classify_gcg, gcg_delta_region
+from .waves import classify_ecg, classify_gcg, gcg_delta_region, rh_residuals
 
 
 class SweepMode(Enum):
@@ -144,13 +144,10 @@ def target_transport_delta(left: State, right: State) -> TransportDeltaTarget:
         raise DomainError("delta-shock target needs u- > u+")
     sl, sr = math.sqrt(left.rho), math.sqrt(right.rho)
     sigma = (sl * left.u + sr * right.u) / (sl + sr)
-    drho = right.rho - left.rho
-    dm = right.rho * right.u - left.rho * left.u
-    dflux = right.rho * right.u**2 - left.rho * left.u**2
-    rate1 = sigma * drho - dm
-    rate2 = sigma * dm - dflux
-    norm = math.sqrt(1.0 + sigma**2)
-    return TransportDeltaTarget(sigma, rate1, rate2, rate1 / norm, rate2 / norm)
+    t = _delta_targets(PressureParams.transport(), left, right, sigma)
+    return TransportDeltaTarget(
+        sigma, t.weight_rate_1, t.weight_rate_2, t.w1_normalized, t.w2_normalized
+    )
 
 
 def target_A_rho_n(left: State, right: State) -> float:
@@ -293,6 +290,13 @@ def _sweep_points(
     return points
 
 
+def _delta_targets(p: PressureParams, left, right, sigma, **limit) -> SweepTargets:
+    """Delta-shock targets: speed, weight rates (jump residuals under p), rates per unit arc."""
+    rate1, rate2 = rh_residuals(p, left, right, sigma)
+    norm = math.sqrt(1.0 + sigma**2)
+    return SweepTargets(sigma, rate1, rate2, rate1 / norm, rate2 / norm, **limit)
+
+
 def _delta_errors(points: list[SweepPoint], t: SweepTargets) -> dict[str, list[float]]:
     """Errors against the delta-shock targets; A*rho*^n only when its limit is set."""
     errs = {
@@ -328,15 +332,9 @@ def run_vanishing_pressure_sweep(
         raise ScheduleError("concentration sweep needs a both-vanish schedule")
     if not (left.u > right.u):
         raise ScheduleError("concentration sweep needs u- > u+")
-    d = target_transport_delta(left, right)
-    t = SweepTargets(
-        sigma=d.sigma,
-        weight_rate_1=d.rate1,
-        weight_rate_2=d.rate2,
-        w1_normalized=d.w1_rate,
-        w2_normalized=d.w2_rate,
-        A_rho_n_limit=target_A_rho_n(left, right),
-    )
+    sigma = target_transport_delta(left, right).sigma
+    limit = target_A_rho_n(left, right)
+    t = _delta_targets(PressureParams.transport(), left, right, sigma, A_rho_n_limit=limit)
     points = _sweep_points(sched, left, right, "S1S2")
     errs = _delta_errors(points, t)
     flags = {
@@ -408,20 +406,8 @@ def _gcg_delta_branch(
     _require_below(sched, "A0", threshold_A0(left, right, B, sched.n, sched.alpha))
     sigma_b, _ = target_gcg_delta(left, right, B, sched.alpha)
     rl, ul, rr, ur = left.rho, left.u, right.rho, right.u
-    rate1 = sigma_b * (rr - rl) - (rr * ur - rl * ul)
-    rate2 = sigma_b * (rr * ur - rl * ul) - (
-        (rr * ur**2 - B * rr**-sched.alpha) - (rl * ul**2 - B * rl**-sched.alpha)
-    )
     bound = rl * (ul - ur) ** 2
-    norm = math.sqrt(1.0 + sigma_b**2)
-    t = SweepTargets(
-        sigma=sigma_b,
-        weight_rate_1=rate1,
-        weight_rate_2=rate2,
-        w1_normalized=rate1 / norm,
-        w2_normalized=rate2 / norm,
-        A_rho_n_bound=bound,
-    )
+    t = _delta_targets(PressureParams.gcg(B, sched.alpha), left, right, sigma_b, A_rho_n_bound=bound)
     points = _sweep_points(sched, left, right, "S1S2")
     errs = _delta_errors(points, t)
     flags = {

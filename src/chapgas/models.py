@@ -1,10 +1,14 @@
-"""Equation-of-state family, states and eigenstructure.
+"""Equation-of-state family, the pressure law, states and eigenstructure.
 
 Three model tags are supported:
 
 * ``ECG``       -- P(rho) = A*rho^n - B/rho^alpha with A, B > 0,
 * ``GCG``       -- the A = 0 case (pressure -B/rho^alpha),
 * ``TRANSPORT`` -- the pressureless A = B = 0 case.
+
+The pressure law and the relations built on it are written once, here, for
+floats and numpy arrays alike: P, c^2, the shock radicand and the GCG
+asymptote. ``pressure`` and ``sound_speed_sq`` are the checked scalar forms.
 
 Everything here is a pure function of its arguments; parameter and state
 values are immutable and safe to share across threads.
@@ -109,12 +113,38 @@ def _check_rho(rho: float) -> None:
         raise DomainError(f"density {rho!r} below representable floor {RHO_FLOOR}")
 
 
+def pressure_law(A, B, n, alpha, rho):
+    """P(rho) = A*rho^n - B*rho^-alpha on raw coefficients; rho a float or an array."""
+    return A * rho**n - B * rho ** (-alpha)
+
+
+def cs2_law(A, B, n, alpha, rho):
+    """dP/drho = A*n*rho^(n-1) + alpha*B*rho^-(alpha+1) on raw coefficients."""
+    return A * n * rho ** (n - 1.0) + alpha * B * rho ** (-(alpha + 1.0))
+
+
+def shock_radicand(p: PressureParams, rho_a, rho_b):
+    """(1/rho_a - 1/rho_b) * (P(rho_b) - P(rho_a)): the squared velocity jump of a shock.
+
+    Symmetric in the two densities, nonnegative away from rounding, and free
+    of the product rho_a*rho_b, which underflows below 5e-324.
+    """
+    A, B, n, alpha = p.A, p.B, p.n, p.alpha
+    dp = pressure_law(A, B, n, alpha, rho_b) - pressure_law(A, B, n, alpha, rho_a)
+    return (1.0 / rho_a - 1.0 / rho_b) * dp
+
+
+def gcg_asymptote(p: PressureParams, rho):
+    """asym(rho) = sqrt(B)*rho^-(alpha+1)/2; GCG region V is u+ + asym(rho+) <= u- - asym(rho-)."""
+    return math.sqrt(p.B) * rho ** (-0.5 * (p.alpha + 1.0))
+
+
 def pressure(p: PressureParams, rho: float) -> float:
     """P(rho) = A*rho^n - B/rho^alpha; identically 0 under the transport tag."""
     _check_rho(rho)
     if p.model is Model.TRANSPORT:
         return 0.0
-    return p.A * rho**p.n - p.B * rho ** (-p.alpha)
+    return pressure_law(p.A, p.B, p.n, p.alpha, rho)
 
 
 def sound_speed_sq(p: PressureParams, rho: float) -> float:
@@ -122,7 +152,7 @@ def sound_speed_sq(p: PressureParams, rho: float) -> float:
     _check_rho(rho)
     if p.model is Model.TRANSPORT:
         return 0.0
-    return p.A * p.n * rho ** (p.n - 1.0) + p.alpha * p.B * rho ** (-(p.alpha + 1.0))
+    return cs2_law(p.A, p.B, p.n, p.alpha, rho)
 
 
 def eigenvalues(p: PressureParams, s: State) -> tuple[float, float]:

@@ -24,7 +24,7 @@ from .errors import (
     NumericalLimitError,
     UnsupportedModelError,
 )
-from .models import Model, PressureParams, State, eigenvalues
+from .models import Model, PressureParams, State, eigenvalues, shock_radicand
 from .numerics import ToleranceConfig, expand_bracket, find_root
 from .waves import (
     WaveFamily,
@@ -227,11 +227,7 @@ def solve_ecg(p: PressureParams, left: State, right: State) -> RiemannSolution:
 def _gcg_delta(p: PressureParams, left: State, right: State) -> DeltaShock:
     rl, ul, rr, ur = left.rho, left.u, right.rho, right.u
     if rl != rr:
-        rad = rl * rr * (
-            (ur - ul) ** 2
-            - (1.0 / rr - 1.0 / rl) * (p.B / rr**p.alpha - p.B / rl**p.alpha)
-        )
-        wr = math.sqrt(rad)
+        wr = math.sqrt(rl * rr * ((ur - ul) ** 2 - shock_radicand(p, rl, rr)))
         sigma = (rr * ur - rl * ul + wr) / (rr - rl)
     else:
         wr = rl * ul - rr * ur

@@ -8,6 +8,7 @@ backward shock curve.
 
 The rarefaction integral is a scalar call into ``fvcore.velocity_jump``: exact
 solves, classification, sweeps and the finite-volume core share one rule.
+The pressure law and the relations built on it come from ``models``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ import numpy as np
 
 from . import fvcore
 from .errors import DegenerateError, DomainError, NumericalLimitError, UnsupportedModelError
-from .models import Model, PressureParams, State, eigenvalues, pressure
+from .models import Model, PressureParams, State, eigenvalues, gcg_asymptote, pressure
+from .models import shock_radicand
 
 # Rounding slack for the shock-curve radicand near the base point.
 _RADICAND_SLACK = -1e-14
@@ -104,15 +106,6 @@ def rarefaction_u(
     return from_state.u + velocity_jump_integral(p, base, rho)
 
 
-def shock_radicand(p: PressureParams, rho_a: float, rho_b: float) -> float:
-    """((rho_b-rho_a)/(rho_a*rho_b)) * (A(rho_b^n-rho_a^n) - B(rho_b^-a - rho_a^-a)).
-
-    Symmetric in its two density arguments; nonnegative away from rounding.
-    """
-    dp = p.A * (rho_b**p.n - rho_a**p.n) - p.B * (rho_b**-p.alpha - rho_a**-p.alpha)
-    return (rho_b - rho_a) / (rho_a * rho_b) * dp
-
-
 def _sqrt_radicand(p: PressureParams, rho_a: float, rho_b: float) -> float:
     try:
         rad = shock_radicand(p, rho_a, rho_b)
@@ -151,7 +144,7 @@ def shock_speed(p: PressureParams, left: State, right: State) -> float:
 def rh_residuals(
     p: PressureParams, left: State, right: State, sigma: float
 ) -> tuple[float, float]:
-    """Residuals of the two jump conditions sigma*[rho]=[rho u], sigma*[rho u]=[rho u^2+P]."""
+    """Residuals of sigma*[rho]=[rho u] and sigma*[rho u]=[rho u^2+P]; a delta's weight rates."""
     drho = right.rho - left.rho
     dm = right.rho * right.u - left.rho * left.u
     dflux = (
@@ -239,9 +232,7 @@ def classify_ecg(p: PressureParams, left: State, right: State) -> RegionECG:
 
 def gcg_delta_region(p: PressureParams, left: State, right: State) -> bool:
     """Whether the datum lies in the delta-shock region (asymptote criterion)."""
-    m = 0.5 * (p.alpha + 1.0)
-    sb = math.sqrt(p.B)
-    return right.u + sb * right.rho**-m <= left.u - sb * left.rho**-m
+    return right.u + gcg_asymptote(p, right.rho) <= left.u - gcg_asymptote(p, left.rho)
 
 
 def gcg_entropy_window(

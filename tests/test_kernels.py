@@ -226,6 +226,36 @@ def test_star_state_and_flux_on_readme_parameters(left, right):
     _assert_flux_matches_sample(p, left, right)
 
 
+# Star states of the README parameters on (rho_l, 0) | (1, 0), a 1-shock out of
+# near-vacuum and a 2-fan: the shock curve and the fan curve (Gauss-Legendre
+# in log rho on 200 equal panels; 100 panels agree to 30 digits) intersected
+# by secant iteration in log rho with mpmath at 50 digits, rounded to 40.
+STAR_STATE_REFERENCES = [
+    (1e-150, "2.516210723471010150450223935893465016775e-150",
+     "-4.719146743824941693197698443570300845301e111"),
+    (1e-200, "2.516210723471010150450223935893465016775e-200",
+     "-1.492325232305396284353165303257118710015e149"),
+]
+
+
+@pytest.mark.parametrize("rho_l, rho_star, u_star", STAR_STATE_REFERENCES, ids=["1e-150", "1e-200"])
+def test_star_state_across_extreme_density_ratios(rho_l, rho_star, u_star):
+    # The shock branch's dphi/dy once overflowed here, and Newton took the
+    # step -h/inf = 0 as converged: rho* came back 23 % low and u* NaN.
+    p = PressureParams.ecg(0.1, 0.1, 2.0, 0.5)
+    rs, us = fvcore.star_state(p, *_arrays(rho_l, 0.0, 1.0, 0.0))
+    assert abs(rs[0] - float(rho_star)) <= 1e-12 * float(rho_star)
+    assert abs(us[0] - float(u_star)) <= 1e-12 * abs(float(u_star))
+
+
+def test_newton_does_not_stop_on_an_infinite_derivative():
+    def fun(y, idx):  # root at y = 1, derivative reported as inf
+        return y - 1.0, np.full(y.shape, np.inf), np.zeros(y.shape)
+
+    y = fvcore._newton_increasing(fun, np.zeros(1), np.full(1, -np.inf), np.full(1, np.inf))
+    assert abs(y[0] - 1.0) <= 1e-12
+
+
 def test_star_state_escape_raises_numerical_limit_error():
     # Colliding at 1e150 against a tiny pressure: rho* lies beyond 1e305.
     p = PressureParams.ecg(1e-10, 1e-10, 1.0, 0.5)
