@@ -26,12 +26,32 @@ import numpy as np
 
 from .errors import NumericalLimitError
 from .models import Model, PressureParams, cs2_law as cs2, gcg_asymptote, pressure_law as pressure
-from .numerics import _WGK, _XGK
 
 # Relative density-jump threshold below which a wave counts as zero-strength.
 DEGENERATE_RTOL = 1e-10
 
-# Kronrod-15 nodes and weights, mapped from [-1, 1] to the unit interval.
+# 15-point Kronrod extension of the 7-point Gauss rule (positive half).
+_XGK = (
+    0.991455371120813,
+    0.949107912342759,
+    0.864864423359769,
+    0.741531185599394,
+    0.586087235467691,
+    0.405845151377397,
+    0.207784955007898,
+    0.0,
+)
+_WGK = (
+    0.022935322010529,
+    0.063092092629979,
+    0.104790010322250,
+    0.140653259715525,
+    0.169004726639267,
+    0.190350578064785,
+    0.204432940075298,
+    0.209482141084728,
+)
+# The same nodes and weights, mapped from [-1, 1] to the unit interval.
 _K15_T = 0.5 * (1.0 + np.array([-x for x in _XGK[:7]] + list(_XGK[::-1])))
 _K15_W = 0.5 * np.array(_WGK + _WGK[6::-1])
 _LN2 = math.log(2.0)

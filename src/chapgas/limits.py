@@ -16,7 +16,7 @@ from enum import Enum
 from typing import Optional
 
 from .errors import DomainError, ScheduleError
-from .models import PressureParams, State, eigenvalues
+from .models import PressureParams, State, eigenvalues, pressure_law
 from .solver import solve_ecg, solve_gcg
 from .waves import classify_ecg, classify_gcg, gcg_delta_region, rh_residuals
 
@@ -171,19 +171,6 @@ def target_gcg_delta(
         raise DomainError("data outside the delta-shock region of the limit model")
     d = solve_gcg(p, left, right).delta
     return d.sigma, d.weight_rate
-
-
-def delta_speed_quadratic_residual(
-    left: State, right: State, B: float, alpha: float, sigma: float
-) -> float:
-    """Residual of the quadratic the GCG delta-shock speed must satisfy."""
-    return (
-        (right.rho - left.rho) * sigma**2
-        - 2.0 * (right.rho * right.u - left.rho * left.u) * sigma
-        + right.rho * right.u**2
-        - left.rho * left.u**2
-        - B * (right.rho**-alpha - left.rho**-alpha)
-    )
 
 
 def threshold_A0(
@@ -407,7 +394,8 @@ def _gcg_delta_branch(
     sigma_b, _ = target_gcg_delta(left, right, B, sched.alpha)
     rl, ul, rr, ur = left.rho, left.u, right.rho, right.u
     bound = rl * (ul - ur) ** 2
-    t = _delta_targets(PressureParams.gcg(B, sched.alpha), left, right, sigma_b, A_rho_n_bound=bound)
+    gcg = PressureParams.gcg(B, sched.alpha)
+    t = _delta_targets(gcg, left, right, sigma_b, A_rho_n_bound=bound)
     points = _sweep_points(sched, left, right, "S1S2")
     errs = _delta_errors(points, t)
     flags = {
@@ -424,12 +412,12 @@ def _gcg_delta_branch(
     # the pairing that actually closes the speed quadratic).
     last = points[-1]
     L = last.A_rho_star_n
-    al = sched.alpha
+    pl, pr = (pressure_law(gcg.A, gcg.B, gcg.n, gcg.alpha, rho) for rho in (rl, rr))
     extras = {
-        "limit_residual_minus_consistent": abs(L + B * rl**-al - rl * (ul - last.u_star) ** 2),
-        "limit_residual_plus_consistent": abs(L + B * rr**-al - rr * (ur - last.u_star) ** 2),
-        "limit_residual_minus_swapped": abs(L + B * rr**-al - rl * (ul - last.u_star) ** 2),
-        "limit_residual_plus_swapped": abs(L + B * rl**-al - rr * (ur - last.u_star) ** 2),
+        "limit_residual_minus_consistent": abs(L - pl - rl * (ul - last.u_star) ** 2),
+        "limit_residual_plus_consistent": abs(L - pr - rr * (ur - last.u_star) ** 2),
+        "limit_residual_minus_swapped": abs(L - pr - rl * (ul - last.u_star) ** 2),
+        "limit_residual_plus_swapped": abs(L - pl - rr * (ur - last.u_star) ** 2),
     }
     return _report("gcg_delta", sched, left, right, tol, points, t, flags, errs, extras)
 

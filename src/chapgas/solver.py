@@ -4,6 +4,10 @@ A solution is an ordered list of segments tiling the xi = x/t axis:
 constant states, rarefaction fans, shocks, contacts, delta shocks and vacuum
 intervals. Zero-width segments (shock/contact/delta) carry their speed as
 ``xi_lo == xi_hi``.
+
+Two-wave solutions bisect the wave-curve mismatch for rho*: ``expand_bracket``
+walks the density axis from the geometric mean of the data, ``find_root``
+bisects the bracket it finds.
 """
 
 from __future__ import annotations
@@ -12,12 +16,13 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import fvcore
 from .errors import (
+    AccuracyError,
     BracketError,
     DomainError,
     NoDeltaShockError,
@@ -25,7 +30,6 @@ from .errors import (
     UnsupportedModelError,
 )
 from .models import Model, PressureParams, State, eigenvalues, shock_radicand
-from .numerics import ToleranceConfig, expand_bracket, find_root
 from .waves import (
     WaveFamily,
     curve_one_u,
@@ -35,7 +39,101 @@ from .waves import (
     shock_speed,
 )
 
-_ROOT_TOL = ToleranceConfig(abs_tol=1e-12, rel_tol=1e-10, max_iterations=200)
+
+@dataclass(frozen=True)
+class ToleranceConfig:
+    """Accuracy knobs for ``find_root``.
+
+    ``max_iterations`` bounds bisection steps for roots and, in the tests'
+    quadrature oracle, subdivision depth.
+    """
+
+    abs_tol: float = 1e-12
+    rel_tol: float = 1e-10
+    max_iterations: int = 200
+
+    def __post_init__(self):
+        floor = 10.0 * fvcore._EPS
+        if not (self.abs_tol >= floor and self.rel_tol >= floor):
+            raise DomainError(f"tolerances must be >= {floor}")
+        if self.max_iterations < 1:
+            raise DomainError("max_iterations must be positive")
+
+
+DEFAULT_ROOT_TOL = ToleranceConfig()
+
+
+def find_root(
+    f: Callable[[float], float],
+    lo: float,
+    hi: float,
+    tol: ToleranceConfig = DEFAULT_ROOT_TOL,
+) -> float:
+    """Safeguarded bisection for f(x) = 0 on a sign-changing bracket.
+
+    The iterate never leaves [lo, hi]. Stops when |f(x)| <= abs_tol or the
+    bracket width drops below rel_tol*|x| + abs_tol.
+    """
+    if lo > hi:
+        lo, hi = hi, lo
+    flo = f(lo)
+    if flo == 0.0:
+        return lo
+    fhi = f(hi)
+    if fhi == 0.0:
+        return hi
+    if (flo > 0.0) == (fhi > 0.0):
+        raise BracketError(f"no sign change on [{lo!r}, {hi!r}]: f={flo!r}, {fhi!r}")
+    for _ in range(tol.max_iterations):
+        mid = 0.5 * (lo + hi)
+        fm = f(mid)
+        if abs(fm) <= tol.abs_tol:
+            return mid
+        if (fm > 0.0) == (flo > 0.0):
+            lo, flo = mid, fm
+        else:
+            hi, fhi = mid, fm
+        if (hi - lo) <= tol.rel_tol * abs(mid) + tol.abs_tol:
+            return 0.5 * (lo + hi)
+    raise AccuracyError(
+        f"root not located to tolerance in {tol.max_iterations} iterations",
+        estimate=(lo, hi),
+    )
+
+
+def expand_bracket(
+    f: Callable[[float], float],
+    seed: float,
+    direction: str,
+) -> tuple[float, float]:
+    """Expand geometrically (factor 2) from ``seed`` until a sign change is bracketed.
+
+    ``direction`` is "up" or "down". Positive seeds only: this walks the
+    density axis. Stops with BracketError past 1e308 (up) or below the 1e-300
+    density floor (down).
+    """
+    if direction not in ("up", "down"):
+        raise DomainError(f"direction must be 'up' or 'down', got {direction!r}")
+    if not (seed > 0.0 and math.isfinite(seed)):
+        raise DomainError(f"seed must be positive and finite, got {seed!r}")
+    fa = f(seed)
+    if not math.isfinite(fa):
+        raise DomainError(f"f(seed) is not finite: {fa!r}")
+    if fa == 0.0:
+        return seed, seed
+    a = seed
+    while True:
+        b = a * 2.0 if direction == "up" else a * 0.5
+        if direction == "up" and b > 1e308:
+            raise BracketError(f"no sign change found expanding up from {seed!r}")
+        if direction == "down" and b < 1e-300:
+            raise BracketError(f"no sign change found expanding down from {seed!r}")
+        fb = f(b)
+        if fb == 0.0:
+            return (b, b)
+        if (fa > 0.0) != (fb > 0.0):
+            return (min(a, b), max(a, b))
+        a, fa = b, fb
 
 
 class SegmentKind(Enum):
@@ -203,7 +301,7 @@ def _solve_two_wave(p: PressureParams, left: State, right: State) -> RiemannSolu
                 f"wave-curve intersection escaped the representable density range: {exc}",
                 state=State(seed, 0.5 * (left.u + right.u)),
             ) from exc
-        rho_star = lo if lo == hi else find_root(mismatch, lo, hi, _ROOT_TOL)
+        rho_star = lo if lo == hi else find_root(mismatch, lo, hi, DEFAULT_ROOT_TOL)
     u_star = 0.5 * (
         curve_one_u(p, left, rho_star) + curve_two_u_backward(p, right, rho_star)
     )

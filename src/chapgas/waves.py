@@ -238,10 +238,14 @@ def gcg_delta_region(p: PressureParams, left: State, right: State) -> bool:
 def gcg_entropy_window(
     p: PressureParams, left: State, right: State
 ) -> tuple[float, float]:
-    """The admissible delta-shock speed window (lo, hi) for the GCG model."""
-    m = 0.5 * (p.alpha + 1.0)
-    c = math.sqrt(p.alpha * p.B)
-    return right.u + c * right.rho**-m, left.u - c * left.rho**-m
+    """The admissible delta-shock speed window (lo, hi) for the GCG model.
+
+    That is (lambda2 of the right state, lambda1 of the left state). The GCG
+    sound speed is taken as sqrt(alpha) times the asymptote, which equals
+    sqrt(c^2) and stays finite at small densities where c^2 overflows.
+    """
+    c_left, c_right = (math.sqrt(p.alpha) * gcg_asymptote(p, s.rho) for s in (left, right))
+    return right.u + c_right, left.u - c_left
 
 
 def classify_gcg(p: PressureParams, left: State, right: State) -> RegionGCG:

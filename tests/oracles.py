@@ -1,19 +1,19 @@
-"""Scalar numerical kernels: bracketed root finding, plus quadrature oracles.
+"""Reference values the tests check the package against.
 
-``expand_bracket`` and ``find_root`` bisect the wave-curve intersection in
-``solver.solve``. Rarefaction integrals are ``fvcore.velocity_jump``'s, built
-on the Kronrod constants below; the adaptive ``integrate`` and the closed
-forms at the bottom are only oracles the tests check that rule against.
+Globally adaptive Gauss-Kronrod quadrature, the closed-form rarefaction
+integrals of the two one-term pressure laws, and the quadratic the GCG
+delta-shock speed satisfies. The quadrature keeps its own copy of the
+Kronrod-15 nodes and weights, so it checks ``fvcore``'s table instead of
+sharing it.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from typing import Callable
 
-from .errors import AccuracyError, BracketError, DomainError
+from chapgas import AccuracyError, DomainError, State, ToleranceConfig
 
 _EPS = 2.220446049250313e-16
 
@@ -46,28 +46,6 @@ _WG = (
     0.417959183673469,
 )
 
-
-@dataclass(frozen=True)
-class ToleranceConfig:
-    """Accuracy knobs for the scalar kernels.
-
-    ``max_iterations`` bounds bisection steps for roots and subdivision depth
-    for quadrature.
-    """
-
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
-    max_iterations: int = 200
-
-    def __post_init__(self):
-        floor = 10.0 * _EPS
-        if not (self.abs_tol >= floor and self.rel_tol >= floor):
-            raise DomainError(f"tolerances must be >= {floor}")
-        if self.max_iterations < 1:
-            raise DomainError("max_iterations must be positive")
-
-
-DEFAULT_ROOT_TOL = ToleranceConfig()
 DEFAULT_QUAD_TOL = ToleranceConfig(max_iterations=60)
 
 
@@ -137,79 +115,6 @@ def integrate(
     return total_est
 
 
-def find_root(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: ToleranceConfig = DEFAULT_ROOT_TOL,
-) -> float:
-    """Safeguarded bisection for f(x) = 0 on a sign-changing bracket.
-
-    The iterate never leaves [lo, hi]. Stops when |f(x)| <= abs_tol or the
-    bracket width drops below rel_tol*|x| + abs_tol.
-    """
-    if lo > hi:
-        lo, hi = hi, lo
-    flo = f(lo)
-    if flo == 0.0:
-        return lo
-    fhi = f(hi)
-    if fhi == 0.0:
-        return hi
-    if (flo > 0.0) == (fhi > 0.0):
-        raise BracketError(f"no sign change on [{lo!r}, {hi!r}]: f={flo!r}, {fhi!r}")
-    for _ in range(tol.max_iterations):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if abs(fm) <= tol.abs_tol:
-            return mid
-        if (fm > 0.0) == (flo > 0.0):
-            lo, flo = mid, fm
-        else:
-            hi, fhi = mid, fm
-        if (hi - lo) <= tol.rel_tol * abs(mid) + tol.abs_tol:
-            return 0.5 * (lo + hi)
-    raise AccuracyError(
-        f"root not located to tolerance in {tol.max_iterations} iterations",
-        estimate=(lo, hi),
-    )
-
-
-def expand_bracket(
-    f: Callable[[float], float],
-    seed: float,
-    direction: str,
-) -> tuple[float, float]:
-    """Expand geometrically (factor 2) from ``seed`` until a sign change is bracketed.
-
-    ``direction`` is "up" or "down". Positive seeds only: this walks the
-    density axis. Stops with BracketError past 1e308 (up) or below the 1e-300
-    density floor (down).
-    """
-    if direction not in ("up", "down"):
-        raise DomainError(f"direction must be 'up' or 'down', got {direction!r}")
-    if not (seed > 0.0 and math.isfinite(seed)):
-        raise DomainError(f"seed must be positive and finite, got {seed!r}")
-    fa = f(seed)
-    if not math.isfinite(fa):
-        raise DomainError(f"f(seed) is not finite: {fa!r}")
-    if fa == 0.0:
-        return seed, seed
-    a = seed
-    while True:
-        b = a * 2.0 if direction == "up" else a * 0.5
-        if direction == "up" and b > 1e308:
-            raise BracketError(f"no sign change found expanding up from {seed!r}")
-        if direction == "down" and b < 1e-300:
-            raise BracketError(f"no sign change found expanding down from {seed!r}")
-        fb = f(b)
-        if fb == 0.0:
-            return (b, b)
-        if (fa > 0.0) != (fb > 0.0):
-            return (min(a, b), max(a, b))
-        a, fa = b, fb
-
-
 def gcg_velocity_jump(B: float, alpha: float, rho_lo: float, rho_hi: float) -> float:
     """Closed form of the rarefaction integral for A = 0.
 
@@ -228,3 +133,16 @@ def polytropic_velocity_jump(A: float, n: float, rho_lo: float, rho_hi: float) -
         return math.sqrt(A) * math.log(rho_hi / rho_lo)
     e = 0.5 * (n - 1.0)
     return 2.0 * math.sqrt(A * n) / (n - 1.0) * (rho_hi**e - rho_lo**e)
+
+
+def delta_speed_quadratic_residual(
+    left: State, right: State, B: float, alpha: float, sigma: float
+) -> float:
+    """Residual of the quadratic the GCG delta-shock speed must satisfy."""
+    return (
+        (right.rho - left.rho) * sigma**2
+        - 2.0 * (right.rho * right.u - left.rho * left.u) * sigma
+        + right.rho * right.u**2
+        - left.rho * left.u**2
+        - B * (right.rho**-alpha - left.rho**-alpha)
+    )

@@ -8,9 +8,9 @@ import pytest
 import chapgas
 from chapgas import NumericalLimitError, PressureParams, SegmentKind, State, fvcore, sample, solve
 from chapgas.models import pressure
-from chapgas.numerics import integrate
 from chapgas.solver import sample_arrays
 from chapgas.waves import classify_gcg, curve_one_u, curve_two_u, velocity_jump_integral
+from oracles import integrate
 
 
 def _arrays(*values):
@@ -36,12 +36,6 @@ def _assert_flux_matches_sample(p, left, right):
     want_rho, want_mom = _flux(p, pt.rho, pt.u)
     assert frho == pytest.approx(want_rho, rel=1e-6, abs=1e-9)
     assert fmom == pytest.approx(want_mom, rel=1e-6, abs=1e-9)
-
-
-def test_numba_flag_is_bool():
-    # Deprecated: bound for old imports, no longer exported.
-    assert chapgas.NUMBA_ENABLED is False
-    assert "NUMBA_ENABLED" not in chapgas.__all__
 
 
 def test_kernel_integral_matches_library_quadrature():

@@ -23,13 +23,9 @@ from chapgas import (
     threshold_A0,
     threshold_A1,
 )
-from chapgas.limits import (
-    Schedule,
-    SweepMode,
-    delta_speed_quadratic_residual,
-    gcg_two_rarefaction_limit,
-)
+from chapgas.limits import Schedule, SweepMode, gcg_two_rarefaction_limit
 from chapgas.waves import gcg_entropy_window
+from oracles import delta_speed_quadratic_residual
 
 # (1,1) vs (2,-1), B = 0.01, alpha = 1, n = 2: 2*(4 - 0.01*0.25)/3.
 A0_EXAMPLE = 2.665

@@ -1,17 +1,15 @@
+import importlib
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
 
 import chapgas
 from chapgas import AccuracyError, BracketError, DomainError, ToleranceConfig
-from chapgas.numerics import (
-    expand_bracket,
-    find_root,
-    gcg_velocity_jump,
-    integrate,
-    polytropic_velocity_jump,
-)
+from chapgas.solver import expand_bracket, find_root
+from oracles import gcg_velocity_jump, integrate, polytropic_velocity_jump
 
 
 def test_integrate_polynomial():
@@ -181,3 +179,17 @@ def test_quadrature_matches_polytropic_closed_form():
 def test_integrate_is_a_test_oracle_only():
     assert "integrate" not in chapgas.__all__
     assert "integrate" not in dir(chapgas)
+
+
+def test_numerics_module_is_gone():
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("chapgas.numerics")
+    assert chapgas.find_root is find_root
+    assert chapgas.expand_bracket is expand_bracket
+
+
+def test_package_does_not_import_the_test_oracles():
+    package = pathlib.Path(chapgas.__file__).parent
+    pattern = re.compile(r"^\s*(from|import)\s+(oracles|tests)\b", re.MULTILINE)
+    for path in package.glob("*.py"):
+        assert not pattern.search(path.read_text()), path.name

@@ -1,4 +1,6 @@
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -284,3 +286,13 @@ def test_solve_dispatcher():
     assert solve(_p_ecg(), State(1, 1), State(1, -1)).pattern() == "S1+S2"
     assert solve(PressureParams.transport(), State(1, 1), State(1, -1)).delta
     assert solve(PressureParams.gcg(0.01, 1.0), State(1, 1), State(1, -1)).delta
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("## Library example", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    exec(compile(code, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("S1+S2 State(rho=")
+    assert lines[-1] == "1.0 6.0"

@@ -271,6 +271,26 @@ def test_entropy_window_inside_region_v():
     assert lo < 0.0 < hi
 
 
+def test_entropy_window_is_lambda2_right_and_lambda1_left():
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        p = PressureParams.gcg(10.0 ** rng.uniform(-4.0, 1.0), rng.uniform(0.01, 1.0))
+        left = State(10.0 ** rng.uniform(-3.0, 3.0), rng.uniform(-5.0, 5.0))
+        right = State(10.0 ** rng.uniform(-3.0, 3.0), rng.uniform(-5.0, 5.0))
+        lo, hi = gcg_entropy_window(p, left, right)
+        assert lo == pytest.approx(eigenvalues(p, right)[1], rel=1e-14, abs=1e-14)
+        assert hi == pytest.approx(eigenvalues(p, left)[0], rel=1e-14, abs=1e-14)
+
+
+def test_entropy_window_where_the_squared_sound_speed_overflows():
+    # c^2 = 1e400 at rho = 1e-200 (B = alpha = 1), while c = 1e200 is finite.
+    p = PressureParams.gcg(1.0, 1.0)
+    left, right = State(1e-200, 1e201), State(1e-200, -1e201)
+    lo, hi = gcg_entropy_window(p, left, right)
+    assert lo == pytest.approx(-9e200, rel=1e-14)
+    assert hi == pytest.approx(9e200, rel=1e-14)
+
+
 def test_curve_one_u_branches():
     p = _p_ecg()
     left = State(1.0, 0.0)
