@@ -2,7 +2,8 @@
 
 Every function here works elementwise on numpy arrays, so one step over all
 ``cells + 1`` interfaces is a fixed number of array operations; the only
-Python loops run over Newton iterations and quadrature panels.
+Python loop runs over Newton iterations. The rarefaction quadrature puts
+every panel of every element in one array, however wide the density range.
 
 Interface Riemann problems are solved the way Toro solves them for the ideal
 gas (*Riemann Solvers and Numerical Methods for Fluid Dynamics*, 3rd ed.,
@@ -77,7 +78,12 @@ def velocity_jump(p: PressureParams, ya, yb):
 
     Closed form for GCG; otherwise composite Kronrod-15 in y on
     ceil(|yb - ya| / ln 2) equal panels per element, with the panel count
-    set by each element alone.
+    set by each element alone. When every element has one panel (every FV
+    interface does) that is one pass over a (..., 15) array of nodes.
+    Otherwise the panels are laid out ragged, element after element, all
+    their nodes are evaluated in one (panels, 15) array, and each element's
+    panel sums are added in panel order, so the result is the same to the
+    bit as a panel-by-panel loop and independent of the other elements.
     """
     ya, yb = np.asarray(ya, dtype=float), np.asarray(yb, dtype=float)
     if p.model is Model.GCG:
@@ -87,13 +93,20 @@ def velocity_jump(p: PressureParams, ya, yb):
     d = yb - ya
     panels = np.maximum(np.ceil(np.abs(d) / _LN2), 1.0)
     h = d / panels
-    start = ya[..., None]
-    for j in range(int(panels.max(initial=1.0))):
-        t1, t2 = _cs2_terms(p, start + h[..., None] * (j + _K15_T))
-        part = (np.sqrt(t1 + t2) * _K15_W).sum(axis=-1)
-        # Every element has a first panel; later ones only count where they exist.
-        total = part if j == 0 else total + np.where(j < panels, part, 0.0)
-    return total * h
+    if int(panels.max(initial=1.0)) == 1:
+        t1, t2 = _cs2_terms(p, ya[..., None] + h[..., None] * _K15_T)
+        return (np.sqrt(t1 + t2) * _K15_W).sum(axis=-1) * h
+    counts = panels.astype(np.intp).ravel()
+    owner = np.repeat(np.arange(counts.size), counts)  # the element of each panel
+    j = np.arange(owner.size) - np.searchsorted(owner, owner)  # its index in that element
+    if ya.shape != d.shape:
+        ya = np.broadcast_to(ya, d.shape)
+    t1, t2 = _cs2_terms(p, ya.ravel()[owner, None] + h.ravel()[owner, None] * (j[:, None] + _K15_T))
+    part = (np.sqrt(t1 + t2) * _K15_W).sum(axis=-1)
+    # bincount adds each element's parts one by one in panel order, from 0.0;
+    # np.add.reduceat would pair them up differently and move the last bit.
+    total = np.bincount(owner, weights=part)
+    return total.reshape(d.shape) * h
 
 
 def _newton_increasing(fun, y, lo, hi):

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DomainError, UnsupportedModelError
+from .errors import DomainError, NumericalLimitError, UnsupportedModelError
 
 # Densities below this are treated as out of domain rather than as vacuum;
 # vacuum is representable only inside a RiemannSolution.
@@ -152,7 +152,12 @@ def sound_speed_sq(p: PressureParams, rho: float) -> float:
     _check_rho(rho)
     if p.model is Model.TRANSPORT:
         return 0.0
-    return cs2_law(p.A, p.B, p.n, p.alpha, rho)
+    try:
+        return cs2_law(p.A, p.B, p.n, p.alpha, rho)
+    except OverflowError as exc:
+        raise NumericalLimitError(
+            f"sound speed squared beyond the float range at rho = {rho!r}"
+        ) from exc
 
 
 def eigenvalues(p: PressureParams, s: State) -> tuple[float, float]:

@@ -325,7 +325,10 @@ def solve_ecg(p: PressureParams, left: State, right: State) -> RiemannSolution:
 def _gcg_delta(p: PressureParams, left: State, right: State) -> DeltaShock:
     rl, ul, rr, ur = left.rho, left.u, right.rho, right.u
     if rl != rr:
-        wr = math.sqrt(rl * rr * ((ur - ul) ** 2 - shock_radicand(p, rl, rr)))
+        try:
+            wr = math.sqrt(rl * rr * ((ur - ul) ** 2 - shock_radicand(p, rl, rr)))
+        except OverflowError as exc:
+            raise NumericalLimitError("delta-shock weight beyond the float range") from exc
         sigma = (rr * ur - rl * ul + wr) / (rr - rl)
     else:
         wr = rl * ul - rr * ur

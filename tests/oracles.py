@@ -1,10 +1,12 @@
 """Reference values the tests check the package against.
 
 Globally adaptive Gauss-Kronrod quadrature, the closed-form rarefaction
-integrals of the two one-term pressure laws, and the quadratic the GCG
-delta-shock speed satisfies. The quadrature keeps its own copy of the
-Kronrod-15 nodes and weights, so it checks ``fvcore``'s table instead of
-sharing it.
+integrals of the two one-term pressure laws, the quadratic the GCG
+delta-shock speed satisfies, and ``fvcore.velocity_jump`` written as one
+Python iteration per panel. The adaptive quadrature keeps its own copy of
+the Kronrod-15 nodes and weights, so it checks ``fvcore``'s table instead of
+sharing it; the panel loop shares the table, because it checks the order of
+the arithmetic and not the rule.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ import heapq
 import math
 from typing import Callable
 
-from chapgas import AccuracyError, DomainError, State, ToleranceConfig
+import numpy as np
+
+from chapgas import AccuracyError, DomainError, State, ToleranceConfig, fvcore
 
 _EPS = 2.220446049250313e-16
 
@@ -146,3 +150,25 @@ def delta_speed_quadratic_residual(
         - left.rho * left.u**2
         - B * (right.rho**-alpha - left.rho**-alpha)
     )
+
+
+def panel_loop_velocity_jump(p, ya, yb):
+    """``fvcore.velocity_jump`` for ECG and transport, one panel per iteration.
+
+    The same ceil(|yb - ya| / ln 2) panels per element and the same nodes;
+    each element's panel sums are added in panel order, and elements with
+    fewer panels add 0.0 once they run out.
+    """
+    ya, yb = np.asarray(ya, dtype=float), np.asarray(yb, dtype=float)
+    d = yb - ya
+    panels = np.maximum(np.ceil(np.abs(d) / fvcore._LN2), 1.0)
+    h = d / panels
+    start = ya[..., None]
+    for j in range(int(panels.max(initial=1.0))):
+        # Elements out of panels still evaluate nodes past their end, where
+        # c^2 can overflow; np.where drops those parts.
+        with np.errstate(over="ignore"):
+            t1, t2 = fvcore._cs2_terms(p, start + h[..., None] * (j + fvcore._K15_T))
+        part = (np.sqrt(t1 + t2) * fvcore._K15_W).sum(axis=-1)
+        total = part if j == 0 else total + np.where(j < panels, part, 0.0)
+    return total * h

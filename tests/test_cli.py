@@ -399,6 +399,16 @@ def test_extreme_densities_exit_3_with_one_line(tmp_path, capsys, command, left)
     assert err.count("\n") == 1
 
 
+def test_gcg_delta_weight_overflow_exits_3_with_one_line(tmp_path, capsys):
+    # (u- - u+)^2 passes 1e308 in the delta-shock weight.
+    args = ["solve", "--model", "gcg", "--B", "1", "--alpha", "1"]
+    args += ["--left", "1e-200,1e201", "--right", "1,0", "--out", str(tmp_path)]
+    assert main(args) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error:")
+    assert err.count("\n") == 1
+
+
 def _shocks_across_150_decades(tmp_path, left):
     args = ["solve", *_README_ECG, "--left", left, "--right", "1,0", "--out", str(tmp_path)]
     assert main(args) == EXIT_OK

@@ -10,7 +10,7 @@ from chapgas import NumericalLimitError, PressureParams, SegmentKind, State, fvc
 from chapgas.models import pressure
 from chapgas.solver import sample_arrays
 from chapgas.waves import classify_gcg, curve_one_u, curve_two_u, velocity_jump_integral
-from oracles import integrate
+from oracles import integrate, panel_loop_velocity_jump
 
 
 def _arrays(*values):
@@ -100,6 +100,54 @@ def test_kernel_gcg_closed_forms():
     p = PressureParams.gcg(1.0, 1.0)
     assert fvcore.velocity_jump(p, math.log(0.5), 0.0) == pytest.approx(1.0, rel=1e-14)
     assert fvcore.velocity_jump(PressureParams.transport(), math.log(0.5), 0.0) == 0.0
+
+
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+# 346 e-folds take 500 one-octave panels; 0.5 e-folds take one.
+_WIDE = 346.0
+
+
+@pytest.mark.parametrize(
+    "ya, yb",
+    [
+        (0.0, -3.0),  # 0-d, ya > yb
+        (np.log(0.7), 0.0),  # 0-d, one panel
+        (np.empty(0), np.empty(0)),
+        (np.zeros((2, 3)), np.array([[-0.5, -5.0, 0.0], [2.0, -_WIDE, 0.3]])),  # 2-D
+        (0.0, np.array([-0.5, -_WIDE, 0.5, _WIDE, -1e-9, 0.0])),  # 1 and 500 panels, both signs
+        (np.array([5.0, -_WIDE, 0.0]), np.array([-_WIDE, 5.0, -0.25])),  # ya > yb and ya < yb
+    ],
+)
+def test_velocity_jump_is_the_panel_loop_bitwise(ya, yb):
+    p = PressureParams.ecg(0.1, 0.1, 2.0, 0.5)
+    assert _same_bits(fvcore.velocity_jump(p, ya, yb), panel_loop_velocity_jump(p, ya, yb))
+
+
+def test_velocity_jump_is_the_panel_loop_bitwise_on_random_ecg():
+    rng = np.random.default_rng(71)
+    for _ in range(40):
+        A, B = 10.0 ** rng.uniform(-14.0, 0.0, 2)
+        p = PressureParams.ecg(A, B, rng.uniform(1.0, 3.0), rng.uniform(0.05, 1.0))
+        size = int(rng.integers(1, 30))
+        ya = rng.uniform(-300.0, 10.0, size)
+        width = rng.choice([0.3, 3.0, 30.0, 300.0], size) * rng.uniform(-1.0, 1.0, size)
+        yb = np.clip(ya + width, -300.0, 10.0)
+        assert _same_bits(fvcore.velocity_jump(p, ya, yb), panel_loop_velocity_jump(p, ya, yb))
+
+
+def test_velocity_jump_element_does_not_depend_on_its_neighbours():
+    # An array call equals one scalar call per element, to the bit.
+    p = PressureParams.ecg(1e-3, 0.2, 1.5, 0.8)
+    ya = np.array([0.0, -2.0, 4.0, -200.0, 1.0, 0.0])
+    yb = np.array([-0.1, -2.0 - _WIDE / 4, -90.0, 3.0, 1.5, _WIDE / 2])
+    got = fvcore.velocity_jump(p, ya, yb)
+    for i in range(ya.size):
+        assert _same_bits(got[i], fvcore.velocity_jump(p, ya[i], yb[i]))
+        assert _same_bits(got[i : i + 1], fvcore.velocity_jump(p, ya[i : i + 1], yb[i : i + 1]))
 
 
 def test_kernel_transport_flux_cases():

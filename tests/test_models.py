@@ -6,6 +6,7 @@ import pytest
 from chapgas import (
     DomainError,
     Model,
+    NumericalLimitError,
     PressureParams,
     State,
     UnsupportedModelError,
@@ -61,6 +62,14 @@ def test_eigenvalues():
     lam1, lam2 = eigenvalues(PressureParams.gcg(1.0, 1.0), State(4.0, 0.0))
     assert lam1 == pytest.approx(-0.25, rel=1e-14)
     assert lam2 == pytest.approx(0.25, rel=1e-14)
+
+
+def test_eigenvalues_beyond_the_float_range_are_a_numerical_limit():
+    # GCG c^2 = alpha*B*rho^-(alpha+1) passes 1e308 below about rho = 1e-154.
+    with pytest.raises(NumericalLimitError):
+        eigenvalues(PressureParams.gcg(1.0, 1.0), State(1e-160, 0.0))
+    with pytest.raises(NumericalLimitError):
+        sound_speed_sq(PressureParams.ecg(1.0, 1.0, 3.0, 0.5), 1e200)
 
 
 def test_genuine_nonlinearity():
