@@ -504,7 +504,7 @@ def cmd_fv(problem: Problem, args: argparse.Namespace) -> int:
                 grid.t_end,
                 grid.scheme,
             )
-            snap = evolve(problem.params, problem.left, problem.right, g)
+            snap = evolve(problem.params, problem.left, problem.right, g, sol=sol)
             rep = _fv_report(problem, sol, g, snap)
             table.append(rep)
         orders = []
@@ -513,7 +513,7 @@ def cmd_fv(problem: Problem, args: argparse.Namespace) -> int:
                 orders.append(math.log2(a["l1_rho"] / b["l1_rho"]))
         doc = {"refinement": table, "orders_rho": orders}
     else:
-        snap = evolve(problem.params, problem.left, problem.right, grid)
+        snap = evolve(problem.params, problem.left, problem.right, grid, sol=sol)
         if _wants(args, "csv"):
             _snapshot_csv(_out_path(args, "snapshot.csv"), snap)
         doc = _fv_report(problem, sol, grid, snap)

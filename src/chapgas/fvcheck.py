@@ -14,6 +14,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Optional
 
 import numpy as np
 
@@ -136,15 +137,24 @@ def _check_domain(sol: RiemannSolution, g: GridConfig) -> None:
 
 
 def evolve(
-    p: PressureParams, left: State, right: State, g: GridConfig
+    p: PressureParams,
+    left: State,
+    right: State,
+    g: GridConfig,
+    *,
+    sol: Optional[RiemannSolution] = None,
 ) -> FieldSnapshot:
     """March the Riemann datum to ``g.t_end`` with the configured scheme.
 
     The update is conservative; a negative cell density aborts (no silent
     floors, those would mask exactly the concentration behaviour this module
-    exists to measure).
+    exists to measure). ``sol`` is the datum's exact solution when the caller
+    already has it; it is solved here otherwise.
     """
-    sol = solve(p, left, right)
+    if sol is None:
+        sol = solve(p, left, right)
+    elif sol.params != p or sol.left != left or sol.right != right:
+        raise DomainError("solution and datum describe different problems")
     _check_domain(sol, g)
     if g.scheme is Scheme.GODUNOV_EXACT and sol.delta is not None:
         raise DomainError(

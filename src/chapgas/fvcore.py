@@ -73,6 +73,12 @@ def _cs2_terms(p: PressureParams, y):
     return p.A * p.n * np.exp((p.n - 1.0) * y), p.alpha * p.B * np.exp(-(p.alpha + 1.0) * y)
 
 
+def _panel_sums(p: PressureParams, a, h, j):
+    """Kronrod-15 sums of c over the panels [a + h j, a + h (j + 1)], not yet times h."""
+    t1, t2 = _cs2_terms(p, a + h * (j + _K15_T))
+    return (np.sqrt(t1 + t2) * _K15_W).sum(axis=-1)
+
+
 def velocity_jump(p: PressureParams, ya, yb):
     """Signed integral of c(rho)/rho d rho from rho = e^ya to e^yb (= integral of c dy).
 
@@ -84,25 +90,35 @@ def velocity_jump(p: PressureParams, ya, yb):
     their nodes are evaluated in one (panels, 15) array, and each element's
     panel sums are added in panel order, so the result is the same to the
     bit as a panel-by-panel loop and independent of the other elements.
+    Inputs that broadcast to one element (the exact solver's calls) skip the
+    ragged bookkeeping: the panel count and step are Python numbers, the
+    nodes form one (panels, 15) array, and ``np.add.accumulate`` adds the
+    panel sums one by one in the same order.
     """
     ya, yb = np.asarray(ya, dtype=float), np.asarray(yb, dtype=float)
     if p.model is Model.GCG:
         m = 0.5 * (p.alpha + 1.0)
         k = 2.0 * math.sqrt(p.alpha * p.B) / (p.alpha + 1.0)
         return k * (np.exp(-m * ya) - np.exp(-m * yb))
+    if ya.size == 1 and yb.size == 1:
+        a = ya.item()
+        d = yb.item() - a
+        panels = max(math.ceil(abs(d) / _LN2), 1)
+        h = d / panels
+        jump = np.add.accumulate(_panel_sums(p, a, h, np.arange(panels)[:, None]))[-1] * h
+        shape = ya.shape if ya.ndim >= yb.ndim else yb.shape
+        return np.full(shape, jump) if shape else jump
     d = yb - ya
     panels = np.maximum(np.ceil(np.abs(d) / _LN2), 1.0)
     h = d / panels
     if int(panels.max(initial=1.0)) == 1:
-        t1, t2 = _cs2_terms(p, ya[..., None] + h[..., None] * _K15_T)
-        return (np.sqrt(t1 + t2) * _K15_W).sum(axis=-1) * h
+        return _panel_sums(p, ya[..., None], h[..., None], 0.0) * h
     counts = panels.astype(np.intp).ravel()
     owner = np.repeat(np.arange(counts.size), counts)  # the element of each panel
     j = np.arange(owner.size) - np.searchsorted(owner, owner)  # its index in that element
     if ya.shape != d.shape:
         ya = np.broadcast_to(ya, d.shape)
-    t1, t2 = _cs2_terms(p, ya.ravel()[owner, None] + h.ravel()[owner, None] * (j[:, None] + _K15_T))
-    part = (np.sqrt(t1 + t2) * _K15_W).sum(axis=-1)
+    part = _panel_sums(p, ya.ravel()[owner, None], h.ravel()[owner, None], j[:, None])
     # bincount adds each element's parts one by one in panel order, from 0.0;
     # np.add.reduceat would pair them up differently and move the last bit.
     total = np.bincount(owner, weights=part)

@@ -277,6 +277,14 @@ def _assemble(
         segs.append(w)
         cursor_state, cursor_xi = w.right, w.xi_hi
     segs.append(_constant(cursor_state, cursor_xi, math.inf))
+    # An unresolved intermediate state can put a fan's ends, or two waves,
+    # in the wrong order; that is no solution.
+    bounds = [xi for s in segs for xi in (s.xi_lo, s.xi_hi)]
+    if any(a > b for a, b in zip(bounds, bounds[1:])):
+        raise NumericalLimitError(
+            f"wave speeds out of order at rho* = {mid.rho!r}: the intermediate state is unresolved",
+            state=mid,
+        )
     return tuple(segs)
 
 
@@ -288,7 +296,9 @@ def _solve_two_wave(p: PressureParams, left: State, right: State) -> RiemannSolu
     def mismatch(rho: float) -> float:
         return curve_one_u(p, left, rho) - curve_two_u_backward(p, right, rho)
 
-    seed = math.sqrt(left.rho * right.rho)
+    # Root by root only when the product underflows: any other seed would
+    # move rho* within the bisection tolerance.
+    seed = math.sqrt(left.rho * right.rho) or math.sqrt(left.rho) * math.sqrt(right.rho)
     h0 = mismatch(seed)
     if h0 == 0.0:
         rho_star = seed
@@ -326,7 +336,9 @@ def _gcg_delta(p: PressureParams, left: State, right: State) -> DeltaShock:
     rl, ul, rr, ur = left.rho, left.u, right.rho, right.u
     if rl != rr:
         try:
-            wr = math.sqrt(rl * rr * ((ur - ul) ** 2 - shock_radicand(p, rl, rr)))
+            # Root by root: the product rl * rr underflows once both are below ~1e-162.
+            root = math.sqrt((ur - ul) ** 2 - shock_radicand(p, rl, rr))
+            wr = math.sqrt(rl) * math.sqrt(rr) * root
         except OverflowError as exc:
             raise NumericalLimitError("delta-shock weight beyond the float range") from exc
         sigma = (rr * ur - rl * ul + wr) / (rr - rl)

@@ -2,7 +2,16 @@ import json
 
 import pytest
 
-from chapgas import PressureParams, SegmentKind, State, lax_check, pressure, sample, solve
+from chapgas import (
+    NumericalLimitError,
+    PressureParams,
+    SegmentKind,
+    State,
+    lax_check,
+    pressure,
+    sample,
+    solve,
+)
 from chapgas.cli import (
     EXIT_INPUT,
     EXIT_NUMERICAL,
@@ -312,6 +321,7 @@ def test_fv_refine_solves_the_datum_once(tmp_path, monkeypatch):
         return solve(p, left, right)
 
     monkeypatch.setattr("chapgas.cli.solve", counted)
+    monkeypatch.setattr("chapgas.fvcheck.solve", counted)
     path = _write(
         tmp_path,
         "fv.json",
@@ -451,6 +461,42 @@ def test_solve_across_150_decades_balances_shock_momentum(tmp_path, left):
     for seg in shocks:
         _, r_mom = rh_residuals(p, seg.left, seg.right, seg.speed)
         assert abs(r_mom) <= 1e-8 * _flux_scale(p, seg.left, seg.right, seg.speed)[1]
+
+
+def test_solve_both_sides_below_1e162_exits_3_on_wave_order(tmp_path, capsys):
+    # rho_l * rho_r underflows to 0; the bracket seed no longer does, but
+    # rho* stays unresolved (the xfail below) and puts both fans' ends in the
+    # wrong order, so the solve stops rather than write that solution.
+    args = ["solve", *_README_ECG, "--left", "1e-200,0", "--right", "1e-200,1"]
+    assert main(args + ["--out", str(tmp_path)]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: wave speeds out of order")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "solution.json").exists()
+
+
+def test_gcg_shocks_below_1e162_exit_3_on_the_radicand(tmp_path, capsys):
+    args = ["solve", "--model", "gcg", "--B", "1", "--alpha", "1"]
+    args += ["--left", "1e-200,1e150", "--right", "1e-200,-1e150", "--out", str(tmp_path)]
+    assert main(args) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: shock radicand")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=NumericalLimitError,
+    reason="find_root stops on an absolute density width of 1e-12, so rho* ~ 1e-200 "
+    "comes out 12.5 % low and the waves out of order (ROADMAP item 2)",
+)
+def test_solve_both_sides_below_1e162_resolves_rho_star():
+    # c is about 2.2e149 there, so the velocity jump of 1 moves log rho by
+    # about 2e-150: rho* is 1e-200 to double precision (fvcore.star_state
+    # gives 9.99999999999978e-201).
+    p = PressureParams.ecg(0.1, 0.1, 2.0, 0.5)
+    sol = solve(p, State(1e-200, 0.0), State(1e-200, 1.0))
+    assert sol.intermediate.rho == pytest.approx(1e-200, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("command", ["solve", "plot"])

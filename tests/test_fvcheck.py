@@ -130,6 +130,22 @@ def test_l1_error_rejects_mismatched_problem():
         l1_error(snap, other)
 
 
+def test_evolve_takes_the_callers_solution():
+    p = _p_ecg()
+    left, right = State(1.0, 0.2), State(0.25, -0.32)
+    g = GridConfig(-0.4, 0.4, 40, 0.45, 0.1)
+    sol = solve(p, left, right)
+    snap = evolve(p, left, right, g, sol=sol)
+    fresh = evolve(p, left, right, g)
+    assert snap.rho.tobytes() == fresh.rho.tobytes()
+    assert snap.momentum.tobytes() == fresh.momentum.tobytes()
+    other_datum = solve(p, left, State(0.3, -0.32))
+    other_model = solve(PressureParams.ecg(0.1, 0.1, 2.0, 0.6), left, right)
+    for other in (other_datum, other_model):
+        with pytest.raises(DomainError):
+            evolve(p, left, right, g, sol=other)
+
+
 def test_domain_too_small():
     p = _p_ecg()
     g = GridConfig(-0.1, 0.1, 32, 0.45, 5.0)

@@ -120,11 +120,35 @@ _WIDE = 346.0
         (np.zeros((2, 3)), np.array([[-0.5, -5.0, 0.0], [2.0, -_WIDE, 0.3]])),  # 2-D
         (0.0, np.array([-0.5, -_WIDE, 0.5, _WIDE, -1e-9, 0.0])),  # 1 and 500 panels, both signs
         (np.array([5.0, -_WIDE, 0.0]), np.array([-_WIDE, 5.0, -0.25])),  # ya > yb and ya < yb
+        # One element, the scalar pass: shapes (1,) and (1, 1) come back as they broadcast.
+        (np.array([0.0]), -3.0),
+        (np.array([[0.0]]), np.array([[-3.0]])),
+        (np.array([2.0]), np.array([[-_WIDE]])),
+        (0.0, -0.5),
+        (-0.5, 0.0),
+        (0.0, -_WIDE),
+        (-_WIDE, 0.0),
+        (0.0, 0.0),
     ],
 )
 def test_velocity_jump_is_the_panel_loop_bitwise(ya, yb):
     p = PressureParams.ecg(0.1, 0.1, 2.0, 0.5)
     assert _same_bits(fvcore.velocity_jump(p, ya, yb), panel_loop_velocity_jump(p, ya, yb))
+
+
+@pytest.mark.parametrize(
+    "ya, yb", [(0.0, 800.0), (np.array([0.0]), 800.0), (np.zeros(2), np.array([800.0, 1.0]))]
+)
+def test_velocity_jump_overflow_is_inf_like_the_panel_loop(ya, yb):
+    # c^2 = A n rho passes 1e308 near rho = e^710: numpy gives inf (and warns
+    # unless the caller silences it); it does not raise a Python OverflowError.
+    p = PressureParams.ecg(0.1, 0.1, 2.0, 0.5)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        fvcore.velocity_jump(p, ya, yb)
+    with np.errstate(over="ignore"):
+        got = fvcore.velocity_jump(p, ya, yb)
+        assert _same_bits(got, panel_loop_velocity_jump(p, ya, yb))
+    assert np.ravel(got)[0] == math.inf
 
 
 def test_velocity_jump_is_the_panel_loop_bitwise_on_random_ecg():
@@ -137,6 +161,9 @@ def test_velocity_jump_is_the_panel_loop_bitwise_on_random_ecg():
         width = rng.choice([0.3, 3.0, 30.0, 300.0], size) * rng.uniform(-1.0, 1.0, size)
         yb = np.clip(ya + width, -300.0, 10.0)
         assert _same_bits(fvcore.velocity_jump(p, ya, yb), panel_loop_velocity_jump(p, ya, yb))
+        # The first element alone, as a size-1 array: the scalar pass.
+        one = ya[:1], yb[:1]
+        assert _same_bits(fvcore.velocity_jump(p, *one), panel_loop_velocity_jump(p, *one))
 
 
 def test_velocity_jump_element_does_not_depend_on_its_neighbours():

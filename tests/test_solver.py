@@ -120,6 +120,25 @@ def test_gcg_delta_exactly_in_classified_region_v():
         assert has_delta == (classify_gcg(p, left, right).tag == "V")
 
 
+# GCG B = 1, alpha = 0.5 on (s, 2 s^-0.75) | (2 s, -2 s^-0.75): region V with
+# rho_l * rho_r subnormal (1e-160) or zero (1e-165). Weight rate and sigma from
+# the closed form evaluated in mpmath at 50 digits on the same float data.
+_TINY_GCG_DELTA = [
+    (1e-165, 3.1664913617870416016e-41, -2.0755658935505259323e123),
+    (1e-160, 5.6309063907320059017e-40, -3.6909360926799391436e119),
+]
+
+
+@pytest.mark.parametrize("scale, weight_rate, sigma", _TINY_GCG_DELTA, ids=["1e-165", "1e-160"])
+def test_gcg_delta_weight_at_tiny_densities(scale, weight_rate, sigma):
+    p = PressureParams.gcg(1.0, 0.5)
+    u = 2.0 * scale**-0.75
+    d = solve_gcg(p, State(scale, u), State(2.0 * scale, -u)).delta
+    assert d is not None
+    assert d.weight_rate == pytest.approx(weight_rate, rel=1e-13, abs=0.0)
+    assert d.sigma == pytest.approx(sigma, rel=1e-13, abs=0.0)
+
+
 def test_transport_symmetric_delta():
     sol = solve_transport(State(1.0, 1.0), State(1.0, -1.0))
     assert sol.delta.sigma == 0.0
