@@ -13,22 +13,6 @@ class UnsupportedModelError(ChapgasError, ValueError):
     """The operation is not defined for the given model tag."""
 
 
-class BracketError(ChapgasError):
-    """No sign change available for a bracketed root search."""
-
-
-class AccuracyError(ChapgasError):
-    """Requested accuracy was not reached within the iteration budget.
-
-    Carries the best estimate produced so far in ``estimate`` (a float for
-    quadrature, an ``(lo, hi)`` bracket for root finding).
-    """
-
-    def __init__(self, message, estimate=None):
-        super().__init__(message)
-        self.estimate = estimate
-
-
 class DegenerateError(ChapgasError, ValueError):
     """A jump relation degenerated (equal densities across a discontinuity)."""
 

@@ -135,9 +135,11 @@ def _newton_increasing(fun, y, lo, hi):
     are seen; a step that leaves the bracket bisects it instead, and before
     a bracket exists steps are capped at ``_MAX_STEP_Y``. ``fun`` raises
     when an iterate leaves the range it can evaluate. ``y``, ``lo`` and
-    ``hi`` are updated in place.
+    ``hi`` are updated in place. ``idx`` is a slice over every element until
+    the first one settles (one-element solves never index), then the index
+    array of the elements still active.
     """
-    active = np.arange(y.size)
+    active = slice(None)
     for _ in range(_MAX_ITERATIONS):
         ya = y[active]
         h, dh, noise = fun(ya, active)
@@ -147,29 +149,37 @@ def _newton_increasing(fun, y, lo, hi):
         lo[active], hi[active] = la, ha
         # A derivative that is 0 or not finite gives no step size (-h/inf would
         # read as converged): take a capped step toward the root instead.
-        good = (dh > 0.0) & (dh < np.inf)
-        step = np.divide(-h, dh, out=np.copysign(_MAX_STEP_Y, -h), where=good)
+        good = np.isfinite(dh) & (dh > 0.0)
+        toward = -h
+        step = np.divide(toward, dh, out=np.copysign(_MAX_STEP_Y, toward), where=good)
         yn = ya + np.minimum(np.maximum(step, -_MAX_STEP_Y), _MAX_STEP_Y)
         # A step out of the bracket bisects it, unless the step is within the
         # tolerance: then ya already sits at a bracket end, next to the root.
         # (While one side is open, only such a step can leave the bracket.)
         leaves = ~((yn > la) & (yn < ha)) & (np.abs(yn - ya) > _TOL_Y)
-        yn = np.where(leaves, 0.5 * (la + ha), yn)
-        yn = np.where(np.abs(h) <= noise, ya, yn)
+        if np.count_nonzero(leaves):
+            yn = np.where(leaves, 0.5 * (la + ha), yn)
+        settled = np.abs(h) <= noise
+        if np.count_nonzero(settled):
+            yn = np.where(settled, ya, yn)
+        moving = np.abs(yn - ya) > _TOL_Y  # before ya, a view under a slice, is overwritten
         y[active] = yn
-        active = active[np.abs(yn - ya) > _TOL_Y]
-        if active.size == 0:
-            return y
+        # count_nonzero: a fraction of the cost of .all() on small arrays
+        if np.count_nonzero(moving) < moving.size:
+            active = np.flatnonzero(moving) if isinstance(active, slice) else active[moving]
+            if active.size == 0:
+                return y
     raise NumericalLimitError(f"Newton iteration did not settle in {_MAX_ITERATIONS} steps")
 
 
 def _curve_distance(p: PressureParams, base, y):
     """Distance phi along wave curves from base densities ra to rho = e^y, and dphi/dy.
 
-    ``base`` holds ra, log ra and P(ra); its leading axes broadcast against
-    ``y``. phi is the rarefaction integral for rho <= ra and the shock jump
-    sqrt(radicand) above, so u = u_a -/+ phi on the 1-curve / backward
-    2-curve; phi is increasing in y.
+    ``base`` holds ra, log ra and P(ra), each of shape (sides, elements),
+    and ``y`` one log density per element. phi is the rarefaction integral
+    for rho <= ra and the shock jump sqrt(radicand) above, so u = u_a -/+ phi
+    on the 1-curve / backward 2-curve; phi is increasing in y. The caller
+    silences the floating-point warnings of the shock branch's derivative.
     """
     ra, ya, pa = base
     rho = np.exp(y)
@@ -179,13 +189,14 @@ def _curve_distance(p: PressureParams, base, y):
     dp = rho * (t1 / p.n - t2 / p.alpha) - pa  # P(rho) - P(ra), from the cs2 terms
     # |u - u_a| across a shock: the radicand of models.shock_radicand, dp at hand.
     root = np.sqrt(np.maximum((1.0 / ra - 1.0 / rho) * dp, 0.0))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # d root/dy, with no rho*rho or ra*rho product that would overflow or underflow.
-        d_shock = np.where(root > 0.0, (dp / rho + (rho / ra - 1.0) * cs2_rho) / (2.0 * root), c)
+    # d root/dy, with no rho*rho or ra*rho product that would overflow or underflow.
+    d_shock = np.where(root > 0.0, (dp / rho + (rho / ra - 1.0) * cs2_rho) / (2.0 * root), c)
     rare = rho <= ra
+    if not np.count_nonzero(rare):  # shocks only: no quadrature
+        return root, d_shock
     phi = np.where(rare, 0.0, root)
-    if rare.any():  # the quadrature only where the rarefaction branch applies
-        phi[rare] = velocity_jump(p, ya[rare], np.broadcast_to(y, rare.shape)[rare])
+    side, elem = rare.nonzero()  # y runs along the last axis of base
+    phi[rare] = velocity_jump(p, ya[side, elem], y[elem])
     return phi, np.where(rare, c, d_shock)
 
 
@@ -207,10 +218,10 @@ def star_state(p: PressureParams, rl, ul, rr, ur):
 
     def mismatch(y, idx):
         phi, dphi = _curve_distance(p, base[..., idx], y)
-        seen[:, idx] = y, *phi, *dphi
+        seen[0, idx], seen[1:3, idx], seen[3:, idx] = y, phi, dphi
         h = phi[0] + phi[1] - du[idx]
-        if not np.isfinite(h).all() or (
-            (y.max() >= _Y_MAX or y.min() <= _Y_MIN)
+        if np.count_nonzero(np.isfinite(h)) < h.size or (
+            np.count_nonzero((y >= _Y_MAX) | (y <= _Y_MIN))
             and (((h < 0.0) & (y >= _Y_MAX)) | ((h > 0.0) & (y <= _Y_MIN))).any()
         ):
             raise NumericalLimitError("wave-curve intersection escaped the density range")
@@ -224,7 +235,8 @@ def star_state(p: PressureParams, rl, ul, rr, ur):
     y0 = (du + cl * ys[0] + cr * ys[1]) / (cl + cr)
     y = np.clip(y0, ys.min(axis=0) - _MAX_STEP_Y, ys.max(axis=0) + _MAX_STEP_Y)
     inf = np.full(y.shape, np.inf)
-    y = _newton_increasing(mismatch, y, -inf, inf.copy())
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # once, not per step
+        y = _newton_increasing(mismatch, y, -inf, inf.copy())
     # The last step moved y by at most _TOL_Y: move phi along with it.
     y_seen, phi_l, phi_r, dphi_l, dphi_r = seen
     dy = y - y_seen
@@ -239,7 +251,12 @@ def fan_state(p: PressureParams, sign, ra, ua, rb, xi):
     with characteristic speed u + sign*c. Newton in y inverts the speed,
     inside [log ra, log rb]; data with xi outside the fan give its nearer end.
     """
-    ra, ua, rb, xi = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (ra, ua, rb, xi)))
+    # np.full to the common shape: np.broadcast_arrays costs several times as much per call.
+    shape = np.broadcast(ra, ua, rb, xi).shape
+    ra, ua, rb, xi = (
+        np.asarray(v, dtype=float) if np.shape(v) == shape else np.full(shape, v, dtype=float)
+        for v in (ra, ua, rb, xi)
+    )
     if p.model is Model.GCG:
         return _gcg_fan_state(p, sign, ra, ua, rb, xi)
     ya, yb = np.log(ra), np.log(rb)

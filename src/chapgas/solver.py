@@ -5,135 +5,32 @@ constant states, rarefaction fans, shocks, contacts, delta shocks and vacuum
 intervals. Zero-width segments (shock/contact/delta) carry their speed as
 ``xi_lo == xi_hi``.
 
-Two-wave solutions bisect the wave-curve mismatch for rho*: ``expand_bracket``
-walks the density axis from the geometric mean of the data, ``find_root``
-bisects the bracket it finds.
+Two-wave solutions take the intermediate state (rho*, u*) from the
+finite-volume core's ``fvcore.star_state`` on one-element arrays:
+safeguarded Newton in y = log rho on the mismatch of the forward 1-curve and
+the backward 2-curve, with a relative stopping rule, so rho* is resolved
+however small it is. The core raises ``NumericalLimitError`` when the
+intersection leaves the representable density range.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from . import fvcore
 from .errors import (
-    AccuracyError,
-    BracketError,
     DomainError,
     NoDeltaShockError,
     NumericalLimitError,
     UnsupportedModelError,
 )
 from .models import Model, PressureParams, State, eigenvalues, shock_radicand
-from .waves import (
-    WaveFamily,
-    curve_one_u,
-    curve_two_u_backward,
-    gcg_delta_region,
-    gcg_entropy_window,
-    shock_speed,
-)
-
-
-@dataclass(frozen=True)
-class ToleranceConfig:
-    """Accuracy knobs for ``find_root``.
-
-    ``max_iterations`` bounds bisection steps for roots and, in the tests'
-    quadrature oracle, subdivision depth.
-    """
-
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-10
-    max_iterations: int = 200
-
-    def __post_init__(self):
-        floor = 10.0 * fvcore._EPS
-        if not (self.abs_tol >= floor and self.rel_tol >= floor):
-            raise DomainError(f"tolerances must be >= {floor}")
-        if self.max_iterations < 1:
-            raise DomainError("max_iterations must be positive")
-
-
-DEFAULT_ROOT_TOL = ToleranceConfig()
-
-
-def find_root(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    tol: ToleranceConfig = DEFAULT_ROOT_TOL,
-) -> float:
-    """Safeguarded bisection for f(x) = 0 on a sign-changing bracket.
-
-    The iterate never leaves [lo, hi]. Stops when |f(x)| <= abs_tol or the
-    bracket width drops below rel_tol*|x| + abs_tol.
-    """
-    if lo > hi:
-        lo, hi = hi, lo
-    flo = f(lo)
-    if flo == 0.0:
-        return lo
-    fhi = f(hi)
-    if fhi == 0.0:
-        return hi
-    if (flo > 0.0) == (fhi > 0.0):
-        raise BracketError(f"no sign change on [{lo!r}, {hi!r}]: f={flo!r}, {fhi!r}")
-    for _ in range(tol.max_iterations):
-        mid = 0.5 * (lo + hi)
-        fm = f(mid)
-        if abs(fm) <= tol.abs_tol:
-            return mid
-        if (fm > 0.0) == (flo > 0.0):
-            lo, flo = mid, fm
-        else:
-            hi, fhi = mid, fm
-        if (hi - lo) <= tol.rel_tol * abs(mid) + tol.abs_tol:
-            return 0.5 * (lo + hi)
-    raise AccuracyError(
-        f"root not located to tolerance in {tol.max_iterations} iterations",
-        estimate=(lo, hi),
-    )
-
-
-def expand_bracket(
-    f: Callable[[float], float],
-    seed: float,
-    direction: str,
-) -> tuple[float, float]:
-    """Expand geometrically (factor 2) from ``seed`` until a sign change is bracketed.
-
-    ``direction`` is "up" or "down". Positive seeds only: this walks the
-    density axis. Stops with BracketError past 1e308 (up) or below the 1e-300
-    density floor (down).
-    """
-    if direction not in ("up", "down"):
-        raise DomainError(f"direction must be 'up' or 'down', got {direction!r}")
-    if not (seed > 0.0 and math.isfinite(seed)):
-        raise DomainError(f"seed must be positive and finite, got {seed!r}")
-    fa = f(seed)
-    if not math.isfinite(fa):
-        raise DomainError(f"f(seed) is not finite: {fa!r}")
-    if fa == 0.0:
-        return seed, seed
-    a = seed
-    while True:
-        b = a * 2.0 if direction == "up" else a * 0.5
-        if direction == "up" and b > 1e308:
-            raise BracketError(f"no sign change found expanding up from {seed!r}")
-        if direction == "down" and b < 1e-300:
-            raise BracketError(f"no sign change found expanding down from {seed!r}")
-        fb = f(b)
-        if fb == 0.0:
-            return (b, b)
-        if (fa > 0.0) != (fb > 0.0):
-            return (min(a, b), max(a, b))
-        a, fa = b, fb
+from .waves import WaveFamily, gcg_delta_region, gcg_entropy_window, shock_speed
 
 
 class SegmentKind(Enum):
@@ -240,34 +137,49 @@ def _constant(state: State, lo: float, hi: float) -> WaveSegment:
 
 
 def _wave_segment(
-    p: PressureParams, fam: WaveFamily, a: State, b: State
+    p: PressureParams, fam: WaveFamily, a: State, b: State, du_tol: float
 ) -> Optional[WaveSegment]:
-    """One classical wave from ``a`` (left) to ``b`` (right), or None when degenerate."""
-    if abs(a.rho - b.rho) <= fvcore.DEGENERATE_RTOL * max(a.rho, b.rho):
-        return None
-    contact_like = p.model is Model.GCG and p.alpha == 1.0
+    """One classical wave from ``a`` (left) to ``b`` (right), or None when degenerate.
+
+    A wave whose density jump is within ``DEGENERATE_RTOL`` is degenerate
+    unless its velocity jump passes ``du_tol``. Near vacuum the sound speed
+    is so large (2e149 at rho = 1e-200 for A = B = 0.1, n = 2, alpha = 0.5)
+    that a unit velocity jump moves rho by far less than rho* resolves; such
+    a weak wave stays, with zero width at the mean of its end speeds, and is
+    a rarefaction when u rises across it (the sign of its density jump is
+    rounding).
+    """
     idx = 0 if fam is WaveFamily.ONE else 1
-    is_rarefaction = b.rho < a.rho if fam is WaveFamily.ONE else b.rho > a.rho
-    if is_rarefaction:
-        lo = eigenvalues(p, a)[idx]
-        hi = eigenvalues(p, b)[idx]
-        if contact_like:
-            s = 0.5 * (lo + hi)
-            return WaveSegment(SegmentKind.CONTACT, s, s, left=a, right=b, family=fam)
-        return WaveSegment(SegmentKind.FAN, lo, hi, left=a, right=b, family=fam)
-    s = shock_speed(p, a, b)
-    kind = SegmentKind.CONTACT if contact_like else SegmentKind.SHOCK
-    return WaveSegment(kind, s, s, left=a, right=b, family=fam)
+    weak = abs(a.rho - b.rho) <= fvcore.DEGENERATE_RTOL * max(a.rho, b.rho)
+    if weak:
+        if abs(a.u - b.u) <= du_tol:
+            return None
+        is_rarefaction = b.u > a.u
+    else:
+        is_rarefaction = b.rho < a.rho if fam is WaveFamily.ONE else b.rho > a.rho
+    contact_like = p.model is Model.GCG and p.alpha == 1.0
+    if is_rarefaction or weak:
+        lo, hi = eigenvalues(p, a)[idx], eigenvalues(p, b)[idx]
+        if weak or contact_like:
+            lo = hi = 0.5 * (lo + hi)
+    else:
+        lo = hi = shock_speed(p, a, b)
+    kind = SegmentKind.CONTACT if contact_like else (
+        SegmentKind.FAN if is_rarefaction else SegmentKind.SHOCK
+    )
+    return WaveSegment(kind, lo, hi, left=a, right=b, family=fam)
 
 
 def _assemble(
     p: PressureParams, left: State, mid: State, right: State
 ) -> tuple[WaveSegment, ...]:
+    # Mixed absolute and relative, like the density test but with a floor of 1.
+    du_tol = fvcore.DEGENERATE_RTOL * (1.0 + abs(left.u) + abs(right.u))
     waves = []
-    w1 = _wave_segment(p, WaveFamily.ONE, left, mid)
+    w1 = _wave_segment(p, WaveFamily.ONE, left, mid, du_tol)
     if w1 is not None:
         waves.append(w1)
-    w2 = _wave_segment(p, WaveFamily.TWO, mid, right)
+    w2 = _wave_segment(p, WaveFamily.TWO, mid, right, du_tol)
     if w2 is not None:
         waves.append(w2)
     segs = []
@@ -290,32 +202,9 @@ def _assemble(
 
 @np.errstate(over="ignore", invalid="ignore")  # overflow raises NumericalLimitError
 def _solve_two_wave(p: PressureParams, left: State, right: State) -> RiemannSolution:
-    """Intersect the forward 1-curve with the backward 2-curve and assemble."""
-
-    @functools.cache  # expand_bracket and find_root re-evaluate bracket ends
-    def mismatch(rho: float) -> float:
-        return curve_one_u(p, left, rho) - curve_two_u_backward(p, right, rho)
-
-    # Root by root only when the product underflows: any other seed would
-    # move rho* within the bisection tolerance.
-    seed = math.sqrt(left.rho * right.rho) or math.sqrt(left.rho) * math.sqrt(right.rho)
-    h0 = mismatch(seed)
-    if h0 == 0.0:
-        rho_star = seed
-    else:
-        direction = "up" if h0 > 0.0 else "down"  # mismatch is strictly decreasing
-        try:
-            lo, hi = expand_bracket(mismatch, seed, direction)
-        except BracketError as exc:
-            raise NumericalLimitError(
-                f"wave-curve intersection escaped the representable density range: {exc}",
-                state=State(seed, 0.5 * (left.u + right.u)),
-            ) from exc
-        rho_star = lo if lo == hi else find_root(mismatch, lo, hi, DEFAULT_ROOT_TOL)
-    u_star = 0.5 * (
-        curve_one_u(p, left, rho_star) + curve_two_u_backward(p, right, rho_star)
-    )
-    mid = State(rho_star, u_star)
+    """Intersect the forward 1-curve with the backward 2-curve in the core and assemble."""
+    rs, us = fvcore.star_state(p, *(np.array([v]) for v in (left.rho, left.u, right.rho, right.u)))
+    mid = State(rs.item(), us.item())
     return RiemannSolution(
         p, left, right, _assemble(p, left, mid, right), intermediate=mid
     )

@@ -187,17 +187,6 @@ def curve_two_u(p: PressureParams, left: State, rho: float) -> float:
     return left.u
 
 
-def curve_two_u_backward(p: PressureParams, right: State, rho: float) -> float:
-    """Velocity u such that a 2-wave connects (rho, u) on the left to ``right``."""
-    if not (rho > 0.0):
-        raise DomainError(f"density must be positive, got {rho!r}")
-    if rho < right.rho:
-        return right.u - velocity_jump_integral(p, rho, right.rho)
-    if rho > right.rho:
-        return right.u + _sqrt_radicand(p, rho, right.rho)
-    return right.u
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def _classify_by_curves(
     p: PressureParams, left: State, right: State

@@ -2,8 +2,10 @@
 
 Globally adaptive Gauss-Kronrod quadrature, the closed-form rarefaction
 integrals of the two one-term pressure laws, the quadratic the GCG
-delta-shock speed satisfies, and ``fvcore.velocity_jump`` written as one
-Python iteration per panel. The adaptive quadrature keeps its own copy of
+delta-shock speed satisfies, ``fvcore.velocity_jump`` written as one
+Python iteration per panel, and the intermediate state of a two-wave
+solution by bisection in rho on the wave-curve mismatch, an independent
+check of the core's Newton. The adaptive quadrature keeps its own copy of
 the Kronrod-15 nodes and weights, so it checks ``fvcore``'s table instead of
 sharing it; the panel loop shares the table, because it checks the order of
 the arithmetic and not the rule.
@@ -13,13 +15,55 @@ from __future__ import annotations
 
 import heapq
 import math
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from chapgas import AccuracyError, DomainError, State, ToleranceConfig, fvcore
+from chapgas import ChapgasError, DomainError, PressureParams, State, fvcore
+from chapgas.models import shock_radicand
+from chapgas.waves import curve_one_u, velocity_jump_integral
 
 _EPS = 2.220446049250313e-16
+
+
+class BracketError(ChapgasError):
+    """No sign change available for a bracketed root search."""
+
+
+class AccuracyError(ChapgasError):
+    """Requested accuracy was not reached within the iteration budget.
+
+    Carries the best estimate produced so far in ``estimate`` (a float for
+    quadrature, an ``(lo, hi)`` bracket for root finding).
+    """
+
+    def __init__(self, message, estimate=None):
+        super().__init__(message)
+        self.estimate = estimate
+
+
+@dataclass(frozen=True)
+class ToleranceConfig:
+    """Accuracy knobs for ``find_root`` and ``integrate``.
+
+    ``max_iterations`` bounds bisection steps for roots and subdivision depth
+    for the quadrature.
+    """
+
+    abs_tol: float = 1e-12
+    rel_tol: float = 1e-10
+    max_iterations: int = 200
+
+    def __post_init__(self):
+        floor = 10.0 * _EPS
+        if not (self.abs_tol >= floor and self.rel_tol >= floor):
+            raise DomainError(f"tolerances must be >= {floor}")
+        if self.max_iterations < 1:
+            raise DomainError("max_iterations must be positive")
+
+
+DEFAULT_ROOT_TOL = ToleranceConfig()
 
 # 15-point Kronrod extension of the 7-point Gauss rule (positive half).
 _XGK = (
@@ -172,3 +216,110 @@ def panel_loop_velocity_jump(p, ya, yb):
         part = (np.sqrt(t1 + t2) * fvcore._K15_W).sum(axis=-1)
         total = part if j == 0 else total + np.where(j < panels, part, 0.0)
     return total * h
+
+
+def find_root(
+    f: Callable[[float], float],
+    lo: float,
+    hi: float,
+    tol: ToleranceConfig = DEFAULT_ROOT_TOL,
+) -> float:
+    """Safeguarded bisection for f(x) = 0 on a sign-changing bracket.
+
+    The iterate never leaves [lo, hi]. Stops when |f(x)| <= abs_tol or the
+    bracket width drops below rel_tol*|x| + abs_tol.
+    """
+    if lo > hi:
+        lo, hi = hi, lo
+    flo = f(lo)
+    if flo == 0.0:
+        return lo
+    fhi = f(hi)
+    if fhi == 0.0:
+        return hi
+    if (flo > 0.0) == (fhi > 0.0):
+        raise BracketError(f"no sign change on [{lo!r}, {hi!r}]: f={flo!r}, {fhi!r}")
+    for _ in range(tol.max_iterations):
+        mid = 0.5 * (lo + hi)
+        fm = f(mid)
+        if abs(fm) <= tol.abs_tol:
+            return mid
+        if (fm > 0.0) == (flo > 0.0):
+            lo, flo = mid, fm
+        else:
+            hi, fhi = mid, fm
+        if (hi - lo) <= tol.rel_tol * abs(mid) + tol.abs_tol:
+            return 0.5 * (lo + hi)
+    raise AccuracyError(
+        f"root not located to tolerance in {tol.max_iterations} iterations",
+        estimate=(lo, hi),
+    )
+
+
+def expand_bracket(
+    f: Callable[[float], float],
+    seed: float,
+    direction: str,
+) -> tuple[float, float]:
+    """Expand geometrically (factor 2) from ``seed`` until a sign change is bracketed.
+
+    ``direction`` is "up" or "down". Positive seeds only: this walks the
+    density axis. Stops with BracketError past 1e308 (up) or below the 1e-300
+    density floor (down).
+    """
+    if direction not in ("up", "down"):
+        raise DomainError(f"direction must be 'up' or 'down', got {direction!r}")
+    if not (seed > 0.0 and math.isfinite(seed)):
+        raise DomainError(f"seed must be positive and finite, got {seed!r}")
+    fa = f(seed)
+    if not math.isfinite(fa):
+        raise DomainError(f"f(seed) is not finite: {fa!r}")
+    if fa == 0.0:
+        return seed, seed
+    a = seed
+    while True:
+        b = a * 2.0 if direction == "up" else a * 0.5
+        if direction == "up" and b > 1e308:
+            raise BracketError(f"no sign change found expanding up from {seed!r}")
+        if direction == "down" and b < 1e-300:
+            raise BracketError(f"no sign change found expanding down from {seed!r}")
+        fb = f(b)
+        if fb == 0.0:
+            return (b, b)
+        if (fa > 0.0) != (fb > 0.0):
+            return (min(a, b), max(a, b))
+        a, fa = b, fb
+
+
+def curve_two_u_backward(p: PressureParams, right: State, rho: float) -> float:
+    """Velocity u such that a 2-wave connects (rho, u) on the left to ``right``."""
+    if not (rho > 0.0):
+        raise DomainError(f"density must be positive, got {rho!r}")
+    if rho < right.rho:
+        return right.u - velocity_jump_integral(p, rho, right.rho)
+    if rho > right.rho:
+        return right.u + math.sqrt(max(shock_radicand(p, rho, right.rho), 0.0))
+    return right.u
+
+
+def bisection_star_state(p: PressureParams, left: State, right: State) -> State:
+    """(rho*, u*) of a classical two-wave solution by bisection in rho.
+
+    ``expand_bracket`` walks the density axis from the geometric mean of the
+    data, and ``find_root`` bisects the mismatch of the forward 1-curve and
+    the backward 2-curve at the default tolerances. Its absolute width floor
+    of 1e-12 leaves rho* unresolved once rho* is that small.
+    """
+
+    def mismatch(rho: float) -> float:
+        return curve_one_u(p, left, rho) - curve_two_u_backward(p, right, rho)
+
+    seed = math.sqrt(left.rho * right.rho)
+    h0 = mismatch(seed)
+    if h0 == 0.0:
+        rho_star = seed
+    else:
+        lo, hi = expand_bracket(mismatch, seed, "up" if h0 > 0.0 else "down")
+        rho_star = lo if lo == hi else find_root(mismatch, lo, hi)
+    u_star = 0.5 * (curve_one_u(p, left, rho_star) + curve_two_u_backward(p, right, rho_star))
+    return State(rho_star, u_star)

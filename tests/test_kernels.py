@@ -10,7 +10,7 @@ from chapgas import NumericalLimitError, PressureParams, SegmentKind, State, fvc
 from chapgas.models import pressure
 from chapgas.solver import sample_arrays
 from chapgas.waves import classify_gcg, curve_one_u, curve_two_u, velocity_jump_integral
-from oracles import integrate, panel_loop_velocity_jump
+from oracles import bisection_star_state, integrate, panel_loop_velocity_jump
 
 
 def _arrays(*values):
@@ -58,6 +58,7 @@ def test_kernel_integral_matches_library_quadrature():
 
 
 def test_kernel_star_state_matches_solver():
+    # solve() takes rho* from the core's Newton; the oracle bisects in rho.
     rng = np.random.default_rng(42)
     for _ in range(40):
         A = rng.uniform(0.01, 1.0)
@@ -68,9 +69,9 @@ def test_kernel_star_state_matches_solver():
         left = State(rng.uniform(0.2, 3.0), rng.uniform(-1.5, 1.5))
         right = State(rng.uniform(0.2, 3.0), rng.uniform(-1.5, 1.5))
         sol = solve(p, left, right)
-        rs, us = fvcore.star_state(p, *_arrays(left.rho, left.u, right.rho, right.u))
-        assert rs[0] == pytest.approx(sol.intermediate.rho, rel=1e-8)
-        assert us[0] == pytest.approx(sol.intermediate.u, abs=1e-8)
+        want = bisection_star_state(p, left, right)
+        assert sol.intermediate.rho == pytest.approx(want.rho, rel=1e-8)
+        assert sol.intermediate.u == pytest.approx(want.u, abs=1e-8)
 
 
 def test_kernel_sample_matches_solver_sample():
@@ -307,14 +308,31 @@ STAR_STATE_REFERENCES = [
 ]
 
 
-@pytest.mark.parametrize("rho_l, rho_star, u_star", STAR_STATE_REFERENCES, ids=["1e-150", "1e-200"])
-def test_star_state_across_extreme_density_ratios(rho_l, rho_star, u_star):
+def _core_star_state(p, rho_l):
+    rs, us = fvcore.star_state(p, *_arrays(rho_l, 0.0, 1.0, 0.0))
+    return rs[0], us[0]
+
+
+def _solve_star_state(p, rho_l):
+    mid = solve(p, State(rho_l, 0.0), State(1.0, 0.0)).intermediate
+    return mid.rho, mid.u
+
+
+@pytest.mark.parametrize(
+    "star, rho_l, rho_star, u_star",
+    [
+        pytest.param(star, *ref, id=prefix + ref_id)
+        for star, prefix in ((_core_star_state, ""), (_solve_star_state, "solve-"))
+        for ref, ref_id in zip(STAR_STATE_REFERENCES, ("1e-150", "1e-200"))
+    ],
+)
+def test_star_state_across_extreme_density_ratios(star, rho_l, rho_star, u_star):
     # The shock branch's dphi/dy once overflowed here, and Newton took the
     # step -h/inf = 0 as converged: rho* came back 23 % low and u* NaN.
     p = PressureParams.ecg(0.1, 0.1, 2.0, 0.5)
-    rs, us = fvcore.star_state(p, *_arrays(rho_l, 0.0, 1.0, 0.0))
-    assert abs(rs[0] - float(rho_star)) <= 1e-12 * float(rho_star)
-    assert abs(us[0] - float(u_star)) <= 1e-12 * abs(float(u_star))
+    rs, us = star(p, rho_l)
+    assert abs(rs - float(rho_star)) <= 1e-12 * float(rho_star)
+    assert abs(us - float(u_star)) <= 1e-12 * abs(float(u_star))
 
 
 def test_newton_does_not_stop_on_an_infinite_derivative():

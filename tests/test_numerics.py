@@ -7,9 +7,17 @@ import numpy as np
 import pytest
 
 import chapgas
-from chapgas import AccuracyError, BracketError, DomainError, ToleranceConfig
-from chapgas.solver import expand_bracket, find_root
-from oracles import gcg_velocity_jump, integrate, polytropic_velocity_jump
+from chapgas import DomainError
+from oracles import (
+    AccuracyError,
+    BracketError,
+    ToleranceConfig,
+    expand_bracket,
+    find_root,
+    gcg_velocity_jump,
+    integrate,
+    polytropic_velocity_jump,
+)
 
 
 def test_integrate_polynomial():
@@ -184,8 +192,16 @@ def test_integrate_is_a_test_oracle_only():
 def test_numerics_module_is_gone():
     with pytest.raises(ModuleNotFoundError):
         importlib.import_module("chapgas.numerics")
-    assert chapgas.find_root is find_root
-    assert chapgas.expand_bracket is expand_bracket
+
+
+def test_root_finding_api_is_gone():
+    # solve() takes rho* from fvcore.star_state; the bisection is an oracle.
+    for name in ("find_root", "expand_bracket", "ToleranceConfig", "DEFAULT_ROOT_TOL"):
+        assert not hasattr(chapgas, name) and not hasattr(chapgas.solver, name)
+        assert name not in chapgas.__all__
+    for name in ("BracketError", "AccuracyError"):
+        assert not hasattr(chapgas, name) and not hasattr(chapgas.errors, name)
+        assert name not in chapgas.__all__
 
 
 def test_package_does_not_import_the_test_oracles():

@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chapgas import (
     DomainError,
@@ -13,14 +15,16 @@ from chapgas import (
     State,
     WaveFamily,
     delta_weight_at,
+    eigenvalues,
     lax_check,
+    pressure,
     sample,
     solve,
     solve_ecg,
     solve_gcg,
     solve_transport,
 )
-from chapgas.waves import rh_residuals, shock_u
+from chapgas.waves import curve_one_u, rh_residuals, shock_u
 
 # Intermediate densities frozen from independent brute-force oracles
 # (bisection on the jump relations; 2e6-panel midpoint quadrature).
@@ -270,8 +274,6 @@ def test_random_solutions_structure_and_admissibility():
             if seg.kind is SegmentKind.SHOCK:
                 assert lax_check(p, seg.family, seg.left, seg.right, seg.speed)
                 r1, r2 = rh_residuals(p, seg.left, seg.right, seg.speed)
-                from chapgas import pressure
-
                 dm = seg.right.rho * seg.right.u - seg.left.rho * seg.left.u
                 dflux = (
                     seg.right.rho * seg.right.u**2
@@ -299,6 +301,67 @@ def test_two_shock_intermediate_satisfies_both_jump_relations():
         u_from_s2 = shock_u(p, WaveFamily.TWO, State(mid.rho, mid.u), right.rho)
         assert mid.u == pytest.approx(u_from_s1, abs=1e-9)
         assert right.u == pytest.approx(u_from_s2, abs=1e-9)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+@st.composite
+def _acceptance_box_data(draw):
+    """ECG or GCG with A, B in [1e-3, 1], n in [1, 3], alpha in [0.05, 1],
+    densities in [1e-2, 1e2] and velocities in [-2, 2]."""
+    B, alpha = draw(_log_uniform(1e-3, 1.0)), draw(st.floats(0.05, 1.0))
+    if draw(st.booleans()):
+        p = PressureParams.ecg(draw(_log_uniform(1e-3, 1.0)), B, draw(st.floats(1.0, 3.0)), alpha)
+    else:
+        p = PressureParams.gcg(B, alpha)
+    rho, u = _log_uniform(1e-2, 1e2), st.floats(-2.0, 2.0)
+    return p, State(draw(rho), draw(u)), State(draw(rho), draw(u))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_acceptance_box_data())
+def test_solve_is_admissible_over_the_acceptance_box(data):
+    p, left, right = data
+    sol = solve(p, left, right)
+    bounds = [xi for seg in sol.segments for xi in (seg.xi_lo, seg.xi_hi)]
+    assert bounds == sorted(bounds)
+    for seg in sol.segments:
+        a, b = seg.left, seg.right
+        if seg.kind is SegmentKind.SHOCK:
+            s = seg.speed
+            r_mass, r_mom = rh_residuals(p, a, b, s)
+            ma, mb = a.rho * a.u, b.rho * b.u
+            fa, fb = ma * a.u + pressure(p, a.rho), mb * b.u + pressure(p, b.rho)
+            # Differences of flux-sized terms: scale by the terms, not the jump.
+            assert abs(r_mass) <= 1e-8 * (abs(s) * (a.rho + b.rho) + abs(ma) + abs(mb))
+            assert abs(r_mom) <= 1e-8 * (abs(s) * (abs(ma) + abs(mb)) + abs(fa) + abs(fb))
+            assert lax_check(p, seg.family, a, b, s)
+        elif seg.kind is SegmentKind.FAN:
+            k = seg.family.value - 1
+            assert seg.xi_lo == eigenvalues(p, a)[k]
+            assert seg.xi_hi == eigenvalues(p, b)[k]
+    mid = sol.intermediate
+    if mid is not None:  # None for a GCG delta shock
+        assert abs(mid.u - curve_one_u(p, left, mid.rho)) <= 1e-10 * (1.0 + abs(mid.u))
+
+
+def test_weak_waves_within_both_tolerances_are_dropped():
+    # Density and velocity jumps within DEGENERATE_RTOL: a constant solution.
+    assert solve(_p_ecg(), State(1.0, 0.0), State(1.0, 1e-11)).pattern() == "constant"
+
+
+def test_weak_colliding_waves_near_vacuum_are_shocks():
+    # rho* = 1e-200 to double precision, so rounding alone can put it below
+    # the data; the falling velocity makes both waves shocks.
+    sol = solve(_p_ecg(), State(1e-200, 1.0), State(1e-200, 0.0))
+    assert sol.pattern() == "S1+S2"
+    assert sol.intermediate.rho == pytest.approx(1e-200, rel=1e-12, abs=0.0)
+    assert sol.intermediate.u == pytest.approx(0.5, rel=1e-12)
+    for seg in sol.segments:
+        if seg.kind is SegmentKind.SHOCK:
+            assert lax_check(_p_ecg(), seg.family, seg.left, seg.right, seg.speed)
 
 
 def test_solve_dispatcher():
