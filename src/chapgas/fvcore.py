@@ -13,6 +13,16 @@ safeguarded Newton inverts rarefaction fans, for the Godunov flux at xi = 0
 and for ``solver.sample``. Each element iterates on its own and stops on its
 own, so a result does not depend on which other elements share the array.
 
+The size of the inputs alone picks one of two passes of that Newton. Inputs
+that broadcast to one element (every exact solve and most fan samples) run
+it on numpy float64 scalars, where a 1-element array would pay numpy's
+per-call overhead dozens of times per step; larger inputs run it on arrays.
+Both passes evaluate the same per-element formulas, below, with the same
+numpy ufuncs, so an element comes out to the bit the same whichever pass it
+takes. Powers stay on arrays in both: ``**`` on a float64 scalar goes
+through the C library's ``pow`` and can differ from the array loop in the
+last bit.
+
 Model dispatch follows the ``PressureParams`` tag: transport has no pressure,
 GCG (A = 0) uses the closed-form rarefaction integral and fan inversion, ECG
 integrates it with Kronrod-15 panels no wider than one octave in density.
@@ -93,7 +103,7 @@ def velocity_jump(p: PressureParams, ya, yb):
     Inputs that broadcast to one element (the exact solver's calls) skip the
     ragged bookkeeping: the panel count and step are Python numbers, the
     nodes form one (panels, 15) array, and ``np.add.accumulate`` adds the
-    panel sums one by one in the same order.
+    panel sums one by one in the same order (one panel needs no adding).
     """
     ya, yb = np.asarray(ya, dtype=float), np.asarray(yb, dtype=float)
     if p.model is Model.GCG:
@@ -105,7 +115,10 @@ def velocity_jump(p: PressureParams, ya, yb):
         d = yb.item() - a
         panels = max(math.ceil(abs(d) / _LN2), 1)
         h = d / panels
-        jump = np.add.accumulate(_panel_sums(p, a, h, np.arange(panels)[:, None]))[-1] * h
+        if panels == 1:
+            jump = _panel_sums(p, a, h, 0.0) * h
+        else:
+            jump = np.add.accumulate(_panel_sums(p, a, h, np.arange(panels)[:, None]))[-1] * h
         shape = ya.shape if ya.ndim >= yb.ndim else yb.shape
         return np.full(shape, jump) if shape else jump
     d = yb - ya
@@ -125,43 +138,72 @@ def velocity_jump(p: PressureParams, ya, yb):
     return total.reshape(d.shape) * h
 
 
+def _where(mask, a, b):
+    """``np.where``; a plain choice on numpy scalars, where np.where costs microseconds.
+
+    An array mask that selects nothing returns ``b`` itself, uncopied.
+    """
+    if isinstance(mask, np.ndarray):
+        return np.where(mask, a, b) if np.count_nonzero(mask) else b
+    return a if mask else b
+
+
+def _any(mask):
+    """Whether any element holds: ``np.count_nonzero`` on arrays, the plain truth on numpy scalars."""
+    return np.count_nonzero(mask) if isinstance(mask, np.ndarray) else mask
+
+
+def _clip(x, lo, hi):
+    """``np.clip`` elementwise, NaN kept, through ``_where``."""
+    return _where(x < lo, lo, _where(x > hi, hi, x))
+
+
+def _newton_step(h, dh, noise, y, lo, hi):
+    """One safeguarded Newton step per element: (lo, hi, next y).
+
+    ``h`` is the increasing function at ``y``, ``dh`` its derivative and
+    ``noise`` the rounding level of its terms; |h| within it settles the
+    element at ``y``. ``lo``/``hi`` bound the root (infinite when unknown)
+    and tighten as signs are seen; a step that leaves the bracket bisects it
+    instead, and before a bracket exists steps are capped at ``_MAX_STEP_Y``.
+    """
+    below = h < 0.0  # the root lies above y; h == 0 puts it at y
+    lo, hi = _where(below, y, lo), _where(below, hi, y)
+    # A derivative that is 0 or not finite gives no step size (-h/inf would
+    # read as converged): take a capped step toward the root instead.
+    no_slope = ~((dh > 0.0) & (dh < math.inf))
+    toward = -h
+    if _any(no_slope):
+        step = _where(no_slope, np.copysign(_MAX_STEP_Y, toward), toward) / _where(no_slope, 1.0, dh)
+    else:
+        step = toward / dh
+    yn = y + _clip(step, -_MAX_STEP_Y, _MAX_STEP_Y)
+    # A step out of the bracket bisects it, unless the step is within the
+    # tolerance: then y already sits at a bracket end, next to the root.
+    # (While one side is open, only such a step can leave the bracket.)
+    leaves = ~((yn > lo) & (yn < hi)) & (abs(yn - y) > _TOL_Y)
+    yn = _where(leaves, 0.5 * (lo + hi), yn)
+    return lo, hi, _where(abs(h) <= noise, y, yn)
+
+
+_NOT_SETTLED = f"Newton iteration did not settle in {_MAX_ITERATIONS} steps"
+
+
 def _newton_increasing(fun, y, lo, hi):
     """Root in y of an increasing function, per element, by safeguarded Newton.
 
     ``fun(y, idx)`` returns (h, dh/dy, noise) for the elements ``idx`` at
     ``y``; an element is done when a step moves it by at most ``_TOL_Y`` or
-    when |h| is within ``noise``, the rounding level of its terms.
-    ``lo``/``hi`` bound the root (infinite when unknown) and tighten as signs
-    are seen; a step that leaves the bracket bisects it instead, and before
-    a bracket exists steps are capped at ``_MAX_STEP_Y``. ``fun`` raises
-    when an iterate leaves the range it can evaluate. ``y``, ``lo`` and
-    ``hi`` are updated in place. ``idx`` is a slice over every element until
-    the first one settles (one-element solves never index), then the index
-    array of the elements still active.
+    when ``_newton_step`` settles it. ``fun`` raises when an iterate leaves
+    the range it can evaluate. ``y``, ``lo`` and ``hi`` are updated in place.
+    ``idx`` is a slice over every element until the first one settles, then
+    the index array of the elements still active.
     """
     active = slice(None)
     for _ in range(_MAX_ITERATIONS):
         ya = y[active]
         h, dh, noise = fun(ya, active)
-        below = h < 0.0  # the root lies above ya; h == 0 puts it at ya
-        la = np.where(below, ya, lo[active])
-        ha = np.where(below, hi[active], ya)
-        lo[active], hi[active] = la, ha
-        # A derivative that is 0 or not finite gives no step size (-h/inf would
-        # read as converged): take a capped step toward the root instead.
-        good = np.isfinite(dh) & (dh > 0.0)
-        toward = -h
-        step = np.divide(toward, dh, out=np.copysign(_MAX_STEP_Y, toward), where=good)
-        yn = ya + np.minimum(np.maximum(step, -_MAX_STEP_Y), _MAX_STEP_Y)
-        # A step out of the bracket bisects it, unless the step is within the
-        # tolerance: then ya already sits at a bracket end, next to the root.
-        # (While one side is open, only such a step can leave the bracket.)
-        leaves = ~((yn > la) & (yn < ha)) & (np.abs(yn - ya) > _TOL_Y)
-        if np.count_nonzero(leaves):
-            yn = np.where(leaves, 0.5 * (la + ha), yn)
-        settled = np.abs(h) <= noise
-        if np.count_nonzero(settled):
-            yn = np.where(settled, ya, yn)
+        lo[active], hi[active], yn = _newton_step(h, dh, noise, ya, lo[active], hi[active])
         moving = np.abs(yn - ya) > _TOL_Y  # before ya, a view under a slice, is overwritten
         y[active] = yn
         # count_nonzero: a fraction of the cost of .all() on small arrays
@@ -169,7 +211,52 @@ def _newton_increasing(fun, y, lo, hi):
             active = np.flatnonzero(moving) if isinstance(active, slice) else active[moving]
             if active.size == 0:
                 return y
-    raise NumericalLimitError(f"Newton iteration did not settle in {_MAX_ITERATIONS} steps")
+    raise NumericalLimitError(_NOT_SETTLED)
+
+
+def _newton_one(fun, y, lo, hi):
+    """``_newton_increasing`` for one element on numpy float64 scalars; ``fun(y)`` gives (h, dh, noise)."""
+    for _ in range(_MAX_ITERATIONS):
+        h, dh, noise = fun(y)
+        lo, hi, yn = _newton_step(h, dh, noise, y, lo, hi)
+        if not abs(yn - y) > _TOL_Y:
+            return yn
+        y = yn
+    raise NumericalLimitError(_NOT_SETTLED)
+
+
+def _one(values):
+    """The inputs as numpy float64 scalars and the shape they broadcast to, or None.
+
+    None unless every input has one element: then they take the scalar pass.
+    """
+    if all(isinstance(v, float) for v in values):  # Python floats: the exact solver's calls
+        return [np.float64(v) for v in values], ()
+    arrays = [np.asarray(v, dtype=float) for v in values]
+    if any(a.size != 1 for a in arrays):
+        return None
+    return [a.ravel()[0] for a in arrays], (1,) * max(a.ndim for a in arrays)
+
+
+def _shaped(x, shape):
+    """A scalar result in the shape its one-element inputs broadcast to."""
+    return np.full(shape, x) if shape else x
+
+
+def _shock_jump(p: PressureParams, ra, pa, rho, t1, t2, cs2_rho):
+    """|u - u_a| across a shock from ra (with P(ra) = pa) to rho, and its y-derivative.
+
+    ``t1``, ``t2`` are the cs2 terms at rho and ``cs2_rho`` their sum. The
+    jump is the root of ``models.shock_radicand``, with P(rho) - P(ra) taken
+    from the cs2 terms; the derivative, which has no rho*rho or ra*rho
+    product that would overflow or underflow, holds only where the root is
+    positive. The caller silences the floating-point warnings of the rest.
+    """
+    dp = rho * (t1 / p.n - t2 / p.alpha) - pa
+    radicand = (1.0 / ra - 1.0 / rho) * dp
+    # np.maximum(radicand, 0.0), NaN kept and -0.0 made 0.0, without its scalar call cost.
+    root = np.sqrt(_where(radicand <= 0.0, 0.0, radicand))
+    return root, (dp / rho + (rho / ra - 1.0) * cs2_rho) / (2.0 * root)
 
 
 def _curve_distance(p: PressureParams, base, y):
@@ -186,11 +273,8 @@ def _curve_distance(p: PressureParams, base, y):
     t1, t2 = _cs2_terms(p, y)
     cs2_rho = t1 + t2
     c = np.sqrt(cs2_rho)
-    dp = rho * (t1 / p.n - t2 / p.alpha) - pa  # P(rho) - P(ra), from the cs2 terms
-    # |u - u_a| across a shock: the radicand of models.shock_radicand, dp at hand.
-    root = np.sqrt(np.maximum((1.0 / ra - 1.0 / rho) * dp, 0.0))
-    # d root/dy, with no rho*rho or ra*rho product that would overflow or underflow.
-    d_shock = np.where(root > 0.0, (dp / rho + (rho / ra - 1.0) * cs2_rho) / (2.0 * root), c)
+    root, slope = _shock_jump(p, ra, pa, rho, t1, t2, cs2_rho)
+    d_shock = np.where(root > 0.0, slope, c)
     rare = rho <= ra
     if not np.count_nonzero(rare):  # shocks only: no quadrature
         return root, d_shock
@@ -200,13 +284,50 @@ def _curve_distance(p: PressureParams, base, y):
     return phi, np.where(rare, c, d_shock)
 
 
+_ESCAPED = "wave-curve intersection escaped the density range"
+
+
+def _star_mismatch(phi_l, phi_r, du, scale):
+    """Wave-curve mismatch h and its rounding level, per element."""
+    return phi_l + phi_r - du, 4.0 * _EPS * (scale + abs(phi_l) + abs(phi_r))
+
+
+def _beyond_range(h, y):
+    """Elements at an end of the density range whose root lies further out.
+
+    The caller raises ``NumericalLimitError`` for them, and for h not finite.
+    """
+    return ((h < 0.0) & (y >= _Y_MAX)) | ((h > 0.0) & (y <= _Y_MIN))
+
+
+def _star_guess(du, cl, cr, yl, yr):
+    """Newton's start: where the linearizations of both curves at the data meet.
+
+    For strong waves that point lands far out on the exponential side of a
+    curve, where Newton only creeps; it is kept within one capped step of the
+    data, so the capped steps walk out to the root instead.
+    """
+    y0 = (du + cl * yl + cr * yr) / (cl + cr)
+    return _clip(y0, np.minimum(yl, yr) - _MAX_STEP_Y, np.maximum(yl, yr) + _MAX_STEP_Y)
+
+
+def _star_velocity(ul, ur, dy, phi_l, phi_r, dphi_l, dphi_r):
+    """u* as the mean of both curves, each moved by dy from its last evaluation."""
+    return 0.5 * ((ul - (phi_l + dphi_l * dy)) + (ur + (phi_r + dphi_r * dy)))
+
+
 def star_state(p: PressureParams, rl, ul, rr, ur):
     """Intermediate (rho*, u*) of classical Riemann problems, elementwise.
 
     Newton in y = log rho on the mismatch of the forward 1-curve through the
     left state and the backward 2-curve through the right state, started
     from the intersection of their linearizations at the two base points.
+    Inputs that broadcast to one element take the scalar pass
+    (``_star_state_one``); its results are the array pass's to the bit.
     """
+    one = _one((rl, ul, rr, ur))
+    if one is not None:
+        return _star_state_one(p, *one)
     A, B, n, alpha = p.A, p.B, p.n, p.alpha
     sides = np.stack([rl, rr])
     ys = np.log(sides)
@@ -219,28 +340,85 @@ def star_state(p: PressureParams, rl, ul, rr, ur):
     def mismatch(y, idx):
         phi, dphi = _curve_distance(p, base[..., idx], y)
         seen[0, idx], seen[1:3, idx], seen[3:, idx] = y, phi, dphi
-        h = phi[0] + phi[1] - du[idx]
+        h, noise = _star_mismatch(phi[0], phi[1], du[idx], scale[idx])
         if np.count_nonzero(np.isfinite(h)) < h.size or (
-            np.count_nonzero((y >= _Y_MAX) | (y <= _Y_MIN))
-            and (((h < 0.0) & (y >= _Y_MAX)) | ((h > 0.0) & (y <= _Y_MIN))).any()
+            np.count_nonzero((y >= _Y_MAX) | (y <= _Y_MIN)) and np.count_nonzero(_beyond_range(h, y))
         ):
-            raise NumericalLimitError("wave-curve intersection escaped the density range")
-        noise = 4.0 * _EPS * (scale[idx] + np.abs(phi[0]) + np.abs(phi[1]))
+            raise NumericalLimitError(_ESCAPED)
         return h, dphi[0] + dphi[1], noise
 
     cl, cr = np.sqrt(cs2(A, B, n, alpha, sides))
-    # For strong waves the linearized guess lands far out on the exponential
-    # side of a curve, where Newton only creeps; keep it within one capped
-    # step of the data, so the capped steps walk out to the root instead.
-    y0 = (du + cl * ys[0] + cr * ys[1]) / (cl + cr)
-    y = np.clip(y0, ys.min(axis=0) - _MAX_STEP_Y, ys.max(axis=0) + _MAX_STEP_Y)
+    y = _star_guess(du, cl, cr, ys[0], ys[1])
     inf = np.full(y.shape, np.inf)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # once, not per step
         y = _newton_increasing(mismatch, y, -inf, inf.copy())
     # The last step moved y by at most _TOL_Y: move phi along with it.
     y_seen, phi_l, phi_r, dphi_l, dphi_r = seen
-    dy = y - y_seen
-    return np.exp(y), 0.5 * ((ul - (phi_l + dphi_l * dy)) + (ur + (phi_r + dphi_r * dy)))
+    return np.exp(y), _star_velocity(ul, ur, y - y_seen, phi_l, phi_r, dphi_l, dphi_r)
+
+
+def _star_state_one(p: PressureParams, values, shape):
+    """``star_state`` on one element, in numpy float64 scalars, shaped as its inputs broadcast.
+
+    The two sides' logs, pressures and sound speeds are taken as one
+    2-element array, where ``**`` is the array pass's; each side's curve
+    takes its rarefaction or its shock branch alone.
+    """
+    rl, ul, rr, ur = values
+    A, B, n, alpha = p.A, p.B, p.n, p.alpha
+    sides = np.array([rl, rr])
+    (yl, yr), (pl, pr) = np.log(sides), pressure(A, B, n, alpha, sides)
+    du = ul - ur
+    scale = abs(ul) + abs(ur)
+    seen = []  # the last evaluation: y, phi and dphi/dy of both curves
+
+    def curve(ra, ya, pa, y, rho, t1, t2, cs2_rho, c):
+        if rho <= ra:
+            return velocity_jump(p, ya, y), c
+        root, slope = _shock_jump(p, ra, pa, rho, t1, t2, cs2_rho)
+        return root, (slope if root > 0.0 else c)
+
+    def mismatch(y):
+        rho = np.exp(y)
+        t1, t2 = _cs2_terms(p, y)
+        cs2_rho = t1 + t2
+        c = np.sqrt(cs2_rho)
+        phi_l, dphi_l = curve(rl, yl, pl, y, rho, t1, t2, cs2_rho, c)
+        phi_r, dphi_r = curve(rr, yr, pr, y, rho, t1, t2, cs2_rho, c)
+        seen[:] = y, phi_l, phi_r, dphi_l, dphi_r
+        h, noise = _star_mismatch(phi_l, phi_r, du, scale)
+        if not abs(h) < math.inf or _beyond_range(h, y):
+            raise NumericalLimitError(_ESCAPED)
+        return h, dphi_l + dphi_r, noise
+
+    cl, cr = np.sqrt(cs2(A, B, n, alpha, sides))
+    y = _star_guess(du, cl, cr, yl, yr)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        y = _newton_one(mismatch, y, np.float64(-np.inf), np.float64(np.inf))
+    y_seen, phi_l, phi_r, dphi_l, dphi_r = seen
+    us = _star_velocity(ul, ur, y - y_seen, phi_l, phi_r, dphi_l, dphi_r)
+    return _shaped(np.exp(y), shape), _shaped(us, shape)
+
+
+def _fan_residual(p: PressureParams, sign, ua, xi, jump, y):
+    """(h, dh/dy, noise) of the fan-speed equation at y, with ``jump`` = J(ra, e^y).
+
+    h = sign * (speed - xi) is increasing in y.
+    """
+    t1, t2 = _cs2_terms(p, y)
+    c = np.sqrt(t1 + t2)
+    speed = ua + sign * (jump + c)
+    noise = 4.0 * _EPS * (abs(ua) + abs(jump) + c + abs(xi))
+    # d(speed)/dy = sign * (2 cs2 + rho cs2') / (2c), nonnegative times sign.
+    dh = ((p.n + 1.0) * t1 + (1.0 - p.alpha) * t2) / (2.0 * c)
+    return sign * (speed - xi), dh, noise
+
+
+def _fan_guess(xi, lam_a, lam_b, ya, yb):
+    """Newton's start: linear interpolation of the speed between the fan's edges."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        frac = _clip((xi - lam_a) / (lam_b - lam_a), 0.0, 1.0)
+    return _where(np.isfinite(frac), ya + frac * (yb - ya), 0.5 * (ya + yb))
 
 
 def fan_state(p: PressureParams, sign, ra, ua, rb, xi):
@@ -250,7 +428,12 @@ def fan_state(p: PressureParams, sign, ra, ua, rb, xi):
     anchor (ra, ua) on its left to density rb, along u = ua + sign*J(ra, rho)
     with characteristic speed u + sign*c. Newton in y inverts the speed,
     inside [log ra, log rb]; data with xi outside the fan give its nearer end.
+    ECG inputs that broadcast to one element take the scalar pass
+    (``_fan_state_one``); its results are the array pass's to the bit.
     """
+    one = None if p.model is Model.GCG else _one((ra, ua, rb, xi))
+    if one is not None:
+        return _fan_state_one(p, sign, *one)
     # np.full to the common shape: np.broadcast_arrays costs several times as much per call.
     shape = np.broadcast(ra, ua, rb, xi).shape
     ra, ua, rb, xi = (
@@ -263,23 +446,29 @@ def fan_state(p: PressureParams, sign, ra, ua, rb, xi):
     A, B, n, alpha = p.A, p.B, p.n, p.alpha
 
     def residual(y, idx):
-        jump = velocity_jump(p, ya[idx], y)
-        t1, t2 = _cs2_terms(p, y)
-        c = np.sqrt(t1 + t2)
-        speed = ua[idx] + sign * (jump + c)
-        noise = 4.0 * _EPS * (np.abs(ua[idx]) + np.abs(jump) + c + np.abs(xi[idx]))
-        # d(speed)/dy = sign * (2 cs2 + rho cs2') / (2c), nonnegative times sign.
-        dh = ((n + 1.0) * t1 + (1.0 - alpha) * t2) / (2.0 * c)
-        return sign * (speed - xi[idx]), dh, noise
+        return _fan_residual(p, sign, ua[idx], xi[idx], velocity_jump(p, ya[idx], y), y)
 
-    # Start from linear interpolation of the speed between the fan's edges.
     lam_a = ua + sign * np.sqrt(cs2(A, B, n, alpha, ra))
     lam_b = ua + sign * (velocity_jump(p, ya, yb) + np.sqrt(cs2(A, B, n, alpha, rb)))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        frac = np.clip((xi - lam_a) / (lam_b - lam_a), 0.0, 1.0)
-    y = np.where(np.isfinite(frac), ya + frac * (yb - ya), 0.5 * (ya + yb))
+    y = _fan_guess(xi, lam_a, lam_b, ya, yb)
     y = _newton_increasing(residual, y, np.minimum(ya, yb), np.maximum(ya, yb))
     return np.exp(y), ua + sign * velocity_jump(p, ya, y)
+
+
+def _fan_state_one(p: PressureParams, sign, values, shape):
+    """``fan_state`` on one ECG element, in numpy float64 scalars (see ``_star_state_one``)."""
+    ra, ua, rb, xi = values
+    ends = np.array([ra, rb])
+    (ya, yb), (ca, cb) = np.log(ends), np.sqrt(cs2(p.A, p.B, p.n, p.alpha, ends))
+
+    def residual(y):
+        return _fan_residual(p, sign, ua, xi, velocity_jump(p, ya, y), y)
+
+    lam_a = ua + sign * ca
+    lam_b = ua + sign * (velocity_jump(p, ya, yb) + cb)
+    y = _fan_guess(xi, lam_a, lam_b, ya, yb)
+    y = _newton_one(residual, y, min(ya, yb), max(ya, yb))
+    return _shaped(np.exp(y), shape), _shaped(ua + sign * velocity_jump(p, ya, y), shape)
 
 
 def _gcg_fan_state(p: PressureParams, sign, ra, ua, rb, xi):
@@ -303,8 +492,12 @@ def _gcg_fan_state(p: PressureParams, sign, ra, ua, rb, xi):
 def sample_classical(p: PressureParams, rl, ul, rr, ur, rs, us, xi):
     """State at xi of classical two-wave solutions through (rs, us), elementwise.
 
-    Zero-strength waves are skipped; exactly at a shock speed the state on
-    its left is returned, as ``solver.sample`` does.
+    Waves are typed as ``solver._wave_segment`` types them. A weak wave,
+    whose density jump is within ``DEGENERATE_RTOL``, is skipped when its
+    velocity jump is within ``DEGENERATE_RTOL * (1 + |ul| + |ur|)`` too, and
+    otherwise kept with zero width at the mean of its end speeds. Exactly at
+    a shock speed the state on its left is returned, as ``solver.sample``
+    does.
     """
     A, B, n, alpha = p.A, p.B, p.n, p.alpha
     xi = np.broadcast_to(np.asarray(xi, dtype=float), np.shape(rl))
@@ -317,6 +510,15 @@ def sample_classical(p: PressureParams, rl, ul, rr, ur, rs, us, xi):
         s2_lo = np.where(shock2, (rr * ur - rs * us) / (rr - rs), us + cs)
     s1_hi = np.where(shock1, s1_lo, us - cs)
     s2_hi = np.where(shock2, s2_lo, ur + cr)
+    weak1, weak2 = ~have1, ~have2
+    if np.count_nonzero(weak1 | weak2):
+        du_tol = DEGENERATE_RTOL * (1.0 + np.abs(ul) + np.abs(ur))
+        have1 = have1 | (np.abs(us - ul) > du_tol)
+        have2 = have2 | (np.abs(ur - us) > du_tol)
+        # Zero width, at the mean of the end characteristic speeds.
+        mid1, mid2 = 0.5 * ((ul - cl) + (us - cs)), 0.5 * ((us + cs) + (ur + cr))
+        s1_lo, s1_hi = np.where(weak1, mid1, s1_lo), np.where(weak1, mid1, s1_hi)
+        s2_lo, s2_hi = np.where(weak2, mid2, s2_lo), np.where(weak2, mid2, s2_hi)
 
     left = have1 & (xi <= s1_lo)
     in_fan1 = have1 & ~shock1 & ~left & (xi <= s1_hi)

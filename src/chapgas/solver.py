@@ -6,7 +6,7 @@ intervals. Zero-width segments (shock/contact/delta) carry their speed as
 ``xi_lo == xi_hi``.
 
 Two-wave solutions take the intermediate state (rho*, u*) from the
-finite-volume core's ``fvcore.star_state`` on one-element arrays:
+finite-volume core's ``fvcore.star_state`` on one element, its scalar pass:
 safeguarded Newton in y = log rho on the mismatch of the forward 1-curve and
 the backward 2-curve, with a relative stopping rule, so rho* is resolved
 however small it is. The core raises ``NumericalLimitError`` when the
@@ -203,8 +203,7 @@ def _assemble(
 @np.errstate(over="ignore", invalid="ignore")  # overflow raises NumericalLimitError
 def _solve_two_wave(p: PressureParams, left: State, right: State) -> RiemannSolution:
     """Intersect the forward 1-curve with the backward 2-curve in the core and assemble."""
-    rs, us = fvcore.star_state(p, *(np.array([v]) for v in (left.rho, left.u, right.rho, right.u)))
-    mid = State(rs.item(), us.item())
+    mid = State(*fvcore.star_state(p, left.rho, left.u, right.rho, right.u))
     return RiemannSolution(
         p, left, right, _assemble(p, left, mid, right), intermediate=mid
     )

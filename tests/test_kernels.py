@@ -7,7 +7,7 @@ import pytest
 
 import chapgas
 from chapgas import NumericalLimitError, PressureParams, SegmentKind, State, fvcore, sample, solve
-from chapgas.models import pressure
+from chapgas.models import gcg_asymptote, pressure
 from chapgas.solver import sample_arrays
 from chapgas.waves import classify_gcg, curve_one_u, curve_two_u, velocity_jump_integral
 from oracles import bisection_star_state, integrate, panel_loop_velocity_jump
@@ -270,23 +270,22 @@ def test_godunov_flux_near_equal_neighbours():
 
 _WEAK_RHO, _WEAK_U = float.fromhex("0x1.cbd22bb59aaaep+1"), float.fromhex("0x1.34da0e7ccedeap-6")
 
+README_DATA = [
+    # Interface data from the README fv example: Newton's last step falls
+    # below the resolution of log rho while the bracket is still open below.
+    (State(_WEAK_RHO, _WEAK_U), State(_WEAK_RHO, -_WEAK_U)),
+    # |u_l - u_r| = 200: the linearized guess lies near log rho = -+200,
+    # far beyond rho* = 4.3e-4 (two fans) or 317 (two shocks).
+    # (-10, 190) puts xi = 0 inside the 1-fan; (190, -10) moves both
+    # shocks right of it.
+    (State(1.0, -100.0), State(1.0, 100.0)),
+    (State(1.0, 100.0), State(1.0, -100.0)),
+    (State(1.0, -10.0), State(1.0, 190.0)),
+    (State(1.0, 190.0), State(1.0, -10.0)),
+]
 
-@pytest.mark.parametrize(
-    "left, right",
-    [
-        # Interface data from the README fv example: Newton's last step falls
-        # below the resolution of log rho while the bracket is still open below.
-        (State(_WEAK_RHO, _WEAK_U), State(_WEAK_RHO, -_WEAK_U)),
-        # |u_l - u_r| = 200: the linearized guess lies near log rho = -+200,
-        # far beyond rho* = 4.3e-4 (two fans) or 317 (two shocks).
-        # (-10, 190) puts xi = 0 inside the 1-fan; (190, -10) moves both
-        # shocks right of it.
-        (State(1.0, -100.0), State(1.0, 100.0)),
-        (State(1.0, 100.0), State(1.0, -100.0)),
-        (State(1.0, -10.0), State(1.0, 190.0)),
-        (State(1.0, 190.0), State(1.0, -10.0)),
-    ],
-)
+
+@pytest.mark.parametrize("left, right", README_DATA)
 def test_star_state_and_flux_on_readme_parameters(left, right):
     p = PressureParams.ecg(0.1, 0.1, 2.0, 0.5)
     sol = solve(p, left, right)
@@ -318,11 +317,18 @@ def _solve_star_state(p, rho_l):
     return mid.rho, mid.u
 
 
+def _batch_star_state(p, rho_l):
+    # The array pass: the datum and its mirror image in one call.
+    rs, us = fvcore.star_state(p, np.array([rho_l, 1.0]), np.zeros(2), np.array([1.0, rho_l]), np.zeros(2))
+    assert rs[1] == rs[0] and us[1] == -us[0]
+    return rs[0], us[0]
+
+
 @pytest.mark.parametrize(
     "star, rho_l, rho_star, u_star",
     [
         pytest.param(star, *ref, id=prefix + ref_id)
-        for star, prefix in ((_core_star_state, ""), (_solve_star_state, "solve-"))
+        for star, prefix in ((_core_star_state, ""), (_solve_star_state, "solve-"), (_batch_star_state, "batch-"))
         for ref, ref_id in zip(STAR_STATE_REFERENCES, ("1e-150", "1e-200"))
     ],
 )
@@ -335,19 +341,127 @@ def test_star_state_across_extreme_density_ratios(star, rho_l, rho_star, u_star)
     assert abs(us - float(u_star)) <= 1e-12 * abs(float(u_star))
 
 
-def test_newton_does_not_stop_on_an_infinite_derivative():
-    def fun(y, idx):  # root at y = 1, derivative reported as inf
-        return y - 1.0, np.full(y.shape, np.inf), np.zeros(y.shape)
+def _newton_arrays(roots):
+    def fun(y, idx):  # roots at ``roots``, derivative reported as inf
+        return y - roots[idx], np.full(y.shape, np.inf), np.zeros(y.shape)
 
-    y = fvcore._newton_increasing(fun, np.zeros(1), np.full(1, -np.inf), np.full(1, np.inf))
-    assert abs(y[0] - 1.0) <= 1e-12
+    size = roots.size
+    return fvcore._newton_increasing(fun, np.zeros(size), np.full(size, -np.inf), np.full(size, np.inf))
 
 
-def test_star_state_escape_raises_numerical_limit_error():
-    # Colliding at 1e150 against a tiny pressure: rho* lies beyond 1e305.
-    p = PressureParams.ecg(1e-10, 1e-10, 1.0, 0.5)
-    with pytest.raises(NumericalLimitError):
-        fvcore.star_state(p, *_arrays(1.0, 1e150, 1.0, -1e150))
+def _newton_scalar(root):
+    def fun(y):
+        return y - root, np.float64(np.inf), np.float64(0.0)
+
+    return fvcore._newton_one(fun, np.float64(0.0), np.float64(-np.inf), np.float64(np.inf))
+
+
+@pytest.mark.parametrize("newton", ["alone", "batch", "scalar"])
+def test_newton_does_not_stop_on_an_infinite_derivative(newton):
+    if newton == "scalar":
+        y = _newton_scalar(np.float64(1.0))
+    else:
+        roots = np.array([1.0, 3.0] if newton == "batch" else [1.0])
+        y = _newton_arrays(roots)
+        assert np.all(np.abs(y - roots) <= 1e-12)
+        if newton == "batch":
+            assert _same_bits(y[1], _newton_scalar(np.float64(3.0)))
+        y = y[0]
+    assert abs(y - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("batch", [False, True], ids=["alone", "batch"])
+@pytest.mark.parametrize(
+    "p, datum, message",
+    [
+        # Colliding at 1e150 against a tiny pressure: rho* lies beyond 1e305,
+        # further than capped steps of 4 in log rho climb in 100 steps.
+        (PressureParams.ecg(1e-10, 1e-10, 1.0, 0.5), (1.0, 1e150, 1.0, -1e150), "did not settle in 100 steps"),
+        # A 1-shock out of 1e-300 into (1, 0): rho* lies below 1e-300.
+        (PressureParams.ecg(0.1, 0.1, 2.0, 0.5), (1e-300, 0.0, 1.0, 0.0), "escaped the density range"),
+    ],
+    ids=["no-settle", "escape"],
+)
+def test_star_state_escape_raises_numerical_limit_error(p, datum, message, batch):
+    # Both passes raise the same error, whatever else shares the call.
+    values = _arrays(*datum)
+    if batch:  # one more element, an R1+S2 that solves alone
+        values = tuple(np.append(v, w) for v, w in zip(values, (1.0, 0.2, 0.25, -0.32)))
+    # c^2 overflows at 1e-300 while the guess is set up.
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalLimitError, match=message):
+        fvcore.star_state(p, *values)
+
+
+def _random_star_data():
+    """(p, rl, ul, rr, ur) groups: ECG and GCG data over six decades of density."""
+    rng = np.random.default_rng(81)
+    groups = []
+    for k in range(48):
+        if k % 2:
+            p = PressureParams.gcg(10.0 ** rng.uniform(-2.0, 0.0), rng.uniform(0.05, 1.0))
+        else:
+            p = PressureParams.ecg(*10.0 ** rng.uniform(-3.0, 0.0, 2), rng.uniform(1.0, 3.0), rng.uniform(0.05, 1.0))
+        rl, rr = 10.0 ** rng.uniform(-3.0, 3.0, (2, 60))
+        ul, ur = rng.uniform(-2.0, 2.0, (2, 60))
+        if p.model is chapgas.Model.GCG:  # no delta shocks: those have no star state
+            keep = ur + gcg_asymptote(p, rr) > ul - gcg_asymptote(p, rl)
+            rl, ul, rr, ur = (a[keep] for a in (rl, ul, rr, ur))
+        groups.append((p, rl, ul, rr, ur))
+    readme = [(left.rho, left.u, right.rho, right.u) for left, right in README_DATA]
+    readme += [(rho_l, 0.0, 1.0, 0.0) for rho_l, *_ in STAR_STATE_REFERENCES]
+    readme += [(1e-200, 0.0, 1e-200, 1.0), (1e-200, 1.0, 1e-200, 0.0)]  # weak waves near vacuum
+    rows = np.array([[float(v) for v in row] for row in readme])
+    groups.append((PressureParams.ecg(0.1, 0.1, 2.0, 0.5), *rows.T))
+    return groups
+
+
+def test_star_state_element_does_not_depend_on_its_batch():
+    # The scalar pass (one element) and the array pass give the same bits.
+    checked = 0
+    for p, *data in _random_star_data():
+        rs, us = fvcore.star_state(p, *data)
+        for i in range(rs.size):
+            alone = fvcore.star_state(p, *(v[i : i + 1] for v in data))
+            assert _same_bits(alone[0], rs[i : i + 1]) and _same_bits(alone[1], us[i : i + 1])
+            checked += 1
+    assert checked >= 2000
+
+
+def test_fan_state_element_does_not_depend_on_its_batch():
+    rng = np.random.default_rng(82)
+    checked = 0
+    for k in range(40):
+        p = PressureParams.ecg(*10.0 ** rng.uniform(-3.0, 0.0, 2), rng.uniform(1.0, 3.0), rng.uniform(0.05, 1.0))
+        sign = -1.0 if k % 2 else 1.0
+        ra, rb = 10.0 ** rng.uniform(-3.0, 3.0, (2, 52))
+        ua = rng.uniform(-2.0, 2.0, 52)
+        # Speeds across each fan and a little beyond its edges.
+        c_a, c_b = (np.sqrt(chapgas.models.cs2_law(p.A, p.B, p.n, p.alpha, r)) for r in (ra, rb))
+        lam_a = ua + sign * c_a
+        lam_b = ua + sign * (fvcore.velocity_jump(p, np.log(ra), np.log(rb)) + c_b)
+        xi = lam_a + rng.uniform(-0.1, 1.1, 52) * (lam_b - lam_a)
+        rho, u = fvcore.fan_state(p, sign, ra, ua, rb, xi)
+        for i in range(rho.size):
+            alone = fvcore.fan_state(p, sign, ra[i : i + 1], ua[i : i + 1], rb[i : i + 1], xi[i : i + 1])
+            assert _same_bits(alone[0], rho[i : i + 1]) and _same_bits(alone[1], u[i : i + 1])
+            checked += 1
+    assert checked >= 2000
+
+
+@pytest.mark.parametrize("right_u", [1.0, -1.0], ids=["fans", "shocks"])
+def test_kernel_keeps_weak_waves_near_vacuum(right_u):
+    # At rho = 1e-200 the sound speed is 2.2e149: a unit velocity jump moves
+    # rho by far less than DEGENERATE_RTOL, and both waves stay, as in solve().
+    p = PressureParams.ecg(0.1, 0.1, 2.0, 0.5)
+    left, right = State(1e-200, 0.0), State(1e-200, right_u)
+    pt = sample(solve(p, left, right), 0.0)
+    assert pt.u == 0.5 * right_u
+    rs, us = fvcore.star_state(p, *_arrays(left.rho, left.u, right.rho, right.u))
+    kr, ku = fvcore.sample_classical(p, *_arrays(left.rho, left.u, right.rho, right.u), rs, us, 0.0)
+    assert (kr[0], ku[0]) == (pt.rho, pt.u)
+    frho, _, _ = _godunov_interface_flux(p, left, right)
+    assert frho == pt.rho * pt.u
+    _assert_flux_matches_sample(p, left, right)
 
 
 @pytest.mark.parametrize(
