@@ -10,8 +10,13 @@ gas (*Riemann Solvers and Numerical Methods for Fluid Dynamics*, 3rd ed.,
 ch. 4): Newton on the wave-curve mismatch from a linearized two-wave guess,
 here in y = log rho and kept inside a sign-change bracket. The same
 safeguarded Newton inverts rarefaction fans, for the Godunov flux at xi = 0
-and for ``solver.sample``. Each element iterates on its own and stops on its
-own, so a result does not depend on which other elements share the array.
+and for ``solver.sample``. There it starts from a closed form in the fan's
+edge sound speeds, with no quadrature; the fan's density range brackets the
+root from the start, so its steps are not capped, and a step that leaves the
+bracket bisects it. u comes from the last evaluated jump moved along to the
+returned density, so a fan point costs one quadrature per Newton evaluation.
+Each element iterates on its own and stops on its own, so a result does not
+depend on which other elements share the array.
 
 The size of the inputs alone picks one of two passes of that Newton. Inputs
 that broadcast to one element (every exact solve and most fan samples) run
@@ -158,14 +163,38 @@ def _clip(x, lo, hi):
     return _where(x < lo, lo, _where(x > hi, hi, x))
 
 
-def _newton_step(h, dh, noise, y, lo, hi):
+# Fan edge speeds out of order by at most this times their velocity scale
+# (see ``fan_inverted``) are rounding.
+_ORDER_RTOL = 8.0 * _EPS
+
+
+def fan_inverted(lo, hi, u_scale):
+    """Whether fan edge speeds ``lo`` > ``hi`` are out of order by rounding alone, elementwise.
+
+    u* is resolved to a few ulps of the data's velocities, and across a fan
+    whose speed hardly varies (alpha near 1) that rounding can put its left
+    edge speed above its right one. Out of order by at most ``_ORDER_RTOL``
+    times max(|lo|, |hi|) + ``u_scale``, with ``u_scale`` = |ul| + |ur| of
+    the Riemann data, counts as rounding, and the caller makes such a fan
+    zero-width at the mean of its edge speeds. Wider disorder is an
+    unresolved intermediate state. Shocks, with ``lo`` == ``hi``, never
+    count.
+    """
+    out = lo > hi
+    if _any(out):
+        out = out & (lo - hi <= _ORDER_RTOL * (np.maximum(abs(lo), abs(hi)) + u_scale))
+    return out
+
+
+def _newton_step(h, dh, noise, y, lo, hi, capped=True):
     """One safeguarded Newton step per element: (lo, hi, next y).
 
     ``h`` is the increasing function at ``y``, ``dh`` its derivative and
     ``noise`` the rounding level of its terms; |h| within it settles the
     element at ``y``. ``lo``/``hi`` bound the root (infinite when unknown)
     and tighten as signs are seen; a step that leaves the bracket bisects it
-    instead, and before a bracket exists steps are capped at ``_MAX_STEP_Y``.
+    instead. ``capped`` caps steps at ``_MAX_STEP_Y``, for brackets that
+    start open; a bracket that is finite from the start needs no cap.
     """
     below = h < 0.0  # the root lies above y; h == 0 puts it at y
     lo, hi = _where(below, y, lo), _where(below, hi, y)
@@ -177,7 +206,7 @@ def _newton_step(h, dh, noise, y, lo, hi):
         step = _where(no_slope, np.copysign(_MAX_STEP_Y, toward), toward) / _where(no_slope, 1.0, dh)
     else:
         step = toward / dh
-    yn = y + _clip(step, -_MAX_STEP_Y, _MAX_STEP_Y)
+    yn = y + (_clip(step, -_MAX_STEP_Y, _MAX_STEP_Y) if capped else step)
     # A step out of the bracket bisects it, unless the step is within the
     # tolerance: then y already sits at a bracket end, next to the root.
     # (While one side is open, only such a step can leave the bracket.)
@@ -189,13 +218,14 @@ def _newton_step(h, dh, noise, y, lo, hi):
 _NOT_SETTLED = f"Newton iteration did not settle in {_MAX_ITERATIONS} steps"
 
 
-def _newton_increasing(fun, y, lo, hi):
+def _newton_increasing(fun, y, lo, hi, capped=True):
     """Root in y of an increasing function, per element, by safeguarded Newton.
 
     ``fun(y, idx)`` returns (h, dh/dy, noise) for the elements ``idx`` at
     ``y``; an element is done when a step moves it by at most ``_TOL_Y`` or
     when ``_newton_step`` settles it. ``fun`` raises when an iterate leaves
-    the range it can evaluate. ``y``, ``lo`` and ``hi`` are updated in place.
+    the range it can evaluate. ``y``, ``lo`` and ``hi`` are updated in place;
+    ``capped`` is ``_newton_step``'s.
     ``idx`` is a slice over every element until the first one settles, then
     the index array of the elements still active.
     """
@@ -203,7 +233,7 @@ def _newton_increasing(fun, y, lo, hi):
     for _ in range(_MAX_ITERATIONS):
         ya = y[active]
         h, dh, noise = fun(ya, active)
-        lo[active], hi[active], yn = _newton_step(h, dh, noise, ya, lo[active], hi[active])
+        lo[active], hi[active], yn = _newton_step(h, dh, noise, ya, lo[active], hi[active], capped)
         moving = np.abs(yn - ya) > _TOL_Y  # before ya, a view under a slice, is overwritten
         y[active] = yn
         # count_nonzero: a fraction of the cost of .all() on small arrays
@@ -214,11 +244,11 @@ def _newton_increasing(fun, y, lo, hi):
     raise NumericalLimitError(_NOT_SETTLED)
 
 
-def _newton_one(fun, y, lo, hi):
+def _newton_one(fun, y, lo, hi, capped=True):
     """``_newton_increasing`` for one element on numpy float64 scalars; ``fun(y)`` gives (h, dh, noise)."""
     for _ in range(_MAX_ITERATIONS):
         h, dh, noise = fun(y)
-        lo, hi, yn = _newton_step(h, dh, noise, y, lo, hi)
+        lo, hi, yn = _newton_step(h, dh, noise, y, lo, hi, capped)
         if not abs(yn - y) > _TOL_Y:
             return yn
         y = yn
@@ -401,7 +431,7 @@ def _star_state_one(p: PressureParams, values, shape):
 
 
 def _fan_residual(p: PressureParams, sign, ua, xi, jump, y):
-    """(h, dh/dy, noise) of the fan-speed equation at y, with ``jump`` = J(ra, e^y).
+    """(h, dh/dy, noise) of the fan-speed equation at y, with ``jump`` = J(ra, e^y), and c there.
 
     h = sign * (speed - xi) is increasing in y.
     """
@@ -411,14 +441,34 @@ def _fan_residual(p: PressureParams, sign, ua, xi, jump, y):
     noise = 4.0 * _EPS * (abs(ua) + abs(jump) + c + abs(xi))
     # d(speed)/dy = sign * (2 cs2 + rho cs2') / (2c), nonnegative times sign.
     dh = ((p.n + 1.0) * t1 + (1.0 - p.alpha) * t2) / (2.0 * c)
-    return sign * (speed - xi), dh, noise
+    return sign * (speed - xi), dh, noise, c
 
 
-def _fan_guess(xi, lam_a, lam_b, ya, yb):
-    """Newton's start: linear interpolation of the speed between the fan's edges."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        frac = _clip((xi - lam_a) / (lam_b - lam_a), 0.0, 1.0)
-    return _where(np.isfinite(frac), ya + frac * (yb - ya), 0.5 * (ya + yb))
+# Below this |m| the fan start takes its m -> 0 limit, linear in y.
+_FLAT_M = 1e-8
+
+
+def _fan_start(sign, ua, xi, ya, yb, ca, cb):
+    """Newton's start in a fan: its inversion in closed form, were c a power of rho.
+
+    With c = ca (rho/ra)^(m/2) and m = 2 ln(cb/ca) / (yb - ya), which is
+    exact when one cs2 term dominates the fan, J = (2/m)(c - ca), and the
+    speed equation J + c = sign (xi - ua) gives c, hence
+    y = ya + (2/m) log1p(m r / (m + 2)) with r = sign (xi - ua) / ca - 1
+    (y = ya + r as m -> 0). No quadrature is needed. A start that is not
+    finite is the bracket's midpoint; every start is clipped to the bracket.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        m = 2.0 * np.log(cb / ca) / (yb - ya)
+        r = (sign * (xi - ua) - ca) / ca
+        y = ya + _where(abs(m) > _FLAT_M, 2.0 / m * np.log1p(m / (m + 2.0) * r), r)
+    lo, hi = np.minimum(ya, yb), np.maximum(ya, yb)
+    return _clip(_where(np.isfinite(y), y, 0.5 * (lo + hi)), lo, hi), lo, hi
+
+
+def _fan_velocity(sign, ua, dy, jump, c):
+    """u in a fan, with the jump moved by dy from its last evaluation (dJ/dy = c)."""
+    return ua + sign * (jump + c * dy)
 
 
 def fan_state(p: PressureParams, sign, ra, ua, rb, xi):
@@ -428,8 +478,14 @@ def fan_state(p: PressureParams, sign, ra, ua, rb, xi):
     anchor (ra, ua) on its left to density rb, along u = ua + sign*J(ra, rho)
     with characteristic speed u + sign*c. Newton in y inverts the speed,
     inside [log ra, log rb]; data with xi outside the fan give its nearer end.
-    ECG inputs that broadcast to one element take the scalar pass
-    (``_fan_state_one``); its results are the array pass's to the bit.
+    Newton starts from ``_fan_start``, a closed form in the edge sound
+    speeds alone. The bracket is finite from the start, so steps are not
+    capped: a step that leaves it bisects it. The last step moves y by at
+    most ``_TOL_Y``, so u takes the last evaluated jump moved along by c
+    times that step, as ``star_state`` moves phi, with no quadrature at the
+    returned y: one quadrature per Newton evaluation in all. ECG inputs that
+    broadcast to one element take the scalar pass (``_fan_state_one``); its
+    results are the array pass's to the bit.
     """
     one = None if p.model is Model.GCG else _one((ra, ua, rb, xi))
     if one is not None:
@@ -443,16 +499,19 @@ def fan_state(p: PressureParams, sign, ra, ua, rb, xi):
     if p.model is Model.GCG:
         return _gcg_fan_state(p, sign, ra, ua, rb, xi)
     ya, yb = np.log(ra), np.log(rb)
-    A, B, n, alpha = p.A, p.B, p.n, p.alpha
+    ca, cb = (np.sqrt(cs2(p.A, p.B, p.n, p.alpha, r)) for r in (ra, rb))
+    seen = np.empty((3,) + shape)  # each element's last evaluation: y, J and c
 
     def residual(y, idx):
-        return _fan_residual(p, sign, ua[idx], xi[idx], velocity_jump(p, ya[idx], y), y)
+        jump = velocity_jump(p, ya[idx], y)
+        h, dh, noise, c = _fan_residual(p, sign, ua[idx], xi[idx], jump, y)
+        seen[0, idx], seen[1, idx], seen[2, idx] = y, jump, c
+        return h, dh, noise
 
-    lam_a = ua + sign * np.sqrt(cs2(A, B, n, alpha, ra))
-    lam_b = ua + sign * (velocity_jump(p, ya, yb) + np.sqrt(cs2(A, B, n, alpha, rb)))
-    y = _fan_guess(xi, lam_a, lam_b, ya, yb)
-    y = _newton_increasing(residual, y, np.minimum(ya, yb), np.maximum(ya, yb))
-    return np.exp(y), ua + sign * velocity_jump(p, ya, y)
+    y, lo, hi = _fan_start(sign, ua, xi, ya, yb, ca, cb)
+    y = _newton_increasing(residual, y, lo, hi, capped=False)
+    y_seen, jump, c = seen
+    return np.exp(y), _fan_velocity(sign, ua, y - y_seen, jump, c)
 
 
 def _fan_state_one(p: PressureParams, sign, values, shape):
@@ -460,15 +519,18 @@ def _fan_state_one(p: PressureParams, sign, values, shape):
     ra, ua, rb, xi = values
     ends = np.array([ra, rb])
     (ya, yb), (ca, cb) = np.log(ends), np.sqrt(cs2(p.A, p.B, p.n, p.alpha, ends))
+    seen = []  # the last evaluation: y, J and c
 
     def residual(y):
-        return _fan_residual(p, sign, ua, xi, velocity_jump(p, ya, y), y)
+        jump = velocity_jump(p, ya, y)
+        h, dh, noise, c = _fan_residual(p, sign, ua, xi, jump, y)
+        seen[:] = y, jump, c
+        return h, dh, noise
 
-    lam_a = ua + sign * ca
-    lam_b = ua + sign * (velocity_jump(p, ya, yb) + cb)
-    y = _fan_guess(xi, lam_a, lam_b, ya, yb)
-    y = _newton_one(residual, y, min(ya, yb), max(ya, yb))
-    return _shaped(np.exp(y), shape), _shaped(ua + sign * velocity_jump(p, ya, y), shape)
+    y, lo, hi = _fan_start(sign, ua, xi, ya, yb, ca, cb)
+    y = _newton_one(residual, y, lo, hi, capped=False)
+    y_seen, jump, c = seen
+    return _shaped(np.exp(y), shape), _shaped(_fan_velocity(sign, ua, y - y_seen, jump, c), shape)
 
 
 def _gcg_fan_state(p: PressureParams, sign, ra, ua, rb, xi):
@@ -495,9 +557,10 @@ def sample_classical(p: PressureParams, rl, ul, rr, ur, rs, us, xi):
     Waves are typed as ``solver._wave_segment`` types them. A weak wave,
     whose density jump is within ``DEGENERATE_RTOL``, is skipped when its
     velocity jump is within ``DEGENERATE_RTOL * (1 + |ul| + |ur|)`` too, and
-    otherwise kept with zero width at the mean of its end speeds. Exactly at
-    a shock speed the state on its left is returned, as ``solver.sample``
-    does.
+    otherwise kept with zero width at the mean of its end speeds, as is a
+    fan whose edge speeds are out of order by rounding (``fan_inverted``).
+    Exactly at a shock speed the state on its left is returned, as
+    ``solver.sample`` does.
     """
     A, B, n, alpha = p.A, p.B, p.n, p.alpha
     xi = np.broadcast_to(np.asarray(xi, dtype=float), np.shape(rl))
@@ -511,14 +574,18 @@ def sample_classical(p: PressureParams, rl, ul, rr, ur, rs, us, xi):
     s1_hi = np.where(shock1, s1_lo, us - cs)
     s2_hi = np.where(shock2, s2_lo, ur + cr)
     weak1, weak2 = ~have1, ~have2
-    if np.count_nonzero(weak1 | weak2):
-        du_tol = DEGENERATE_RTOL * (1.0 + np.abs(ul) + np.abs(ur))
+    # Only a fan's edge speeds can be out of order: a shock's are equal.
+    if np.count_nonzero(weak1 | weak2) or np.count_nonzero(s1_lo > s1_hi) or np.count_nonzero(s2_lo > s2_hi):
+        u_scale = np.abs(ul) + np.abs(ur)
+        flat1 = weak1 | fan_inverted(s1_lo, s1_hi, u_scale)
+        flat2 = weak2 | fan_inverted(s2_lo, s2_hi, u_scale)
+        du_tol = DEGENERATE_RTOL * (1.0 + u_scale)
         have1 = have1 | (np.abs(us - ul) > du_tol)
         have2 = have2 | (np.abs(ur - us) > du_tol)
         # Zero width, at the mean of the end characteristic speeds.
         mid1, mid2 = 0.5 * ((ul - cl) + (us - cs)), 0.5 * ((us + cs) + (ur + cr))
-        s1_lo, s1_hi = np.where(weak1, mid1, s1_lo), np.where(weak1, mid1, s1_hi)
-        s2_lo, s2_hi = np.where(weak2, mid2, s2_lo), np.where(weak2, mid2, s2_hi)
+        s1_lo, s1_hi = np.where(flat1, mid1, s1_lo), np.where(flat1, mid1, s1_hi)
+        s2_lo, s2_hi = np.where(flat2, mid2, s2_lo), np.where(flat2, mid2, s2_hi)
 
     left = have1 & (xi <= s1_lo)
     in_fan1 = have1 & ~shock1 & ~left & (xi <= s1_hi)

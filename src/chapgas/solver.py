@@ -137,22 +137,25 @@ def _constant(state: State, lo: float, hi: float) -> WaveSegment:
 
 
 def _wave_segment(
-    p: PressureParams, fam: WaveFamily, a: State, b: State, du_tol: float
+    p: PressureParams, fam: WaveFamily, a: State, b: State, u_scale: float
 ) -> Optional[WaveSegment]:
     """One classical wave from ``a`` (left) to ``b`` (right), or None when degenerate.
 
-    A wave whose density jump is within ``DEGENERATE_RTOL`` is degenerate
-    unless its velocity jump passes ``du_tol``. Near vacuum the sound speed
-    is so large (2e149 at rho = 1e-200 for A = B = 0.1, n = 2, alpha = 0.5)
-    that a unit velocity jump moves rho by far less than rho* resolves; such
-    a weak wave stays, with zero width at the mean of its end speeds, and is
-    a rarefaction when u rises across it (the sign of its density jump is
-    rounding).
+    ``u_scale`` is |u_l| + |u_r| of the Riemann data. A wave whose density
+    jump is within ``DEGENERATE_RTOL`` is degenerate unless its velocity
+    jump passes ``DEGENERATE_RTOL * (1 + u_scale)``. Near vacuum the sound
+    speed is so large (2e149 at rho = 1e-200 for A = B = 0.1, n = 2,
+    alpha = 0.5) that a unit velocity jump moves rho by far less than rho*
+    resolves; such a weak wave stays, with zero width at the mean of its end
+    speeds, and is a rarefaction when u rises across it (the sign of its
+    density jump is rounding). A fan whose edge speeds are out of order by
+    rounding (``fvcore.fan_inverted``) takes zero width the same way.
     """
     idx = 0 if fam is WaveFamily.ONE else 1
     weak = abs(a.rho - b.rho) <= fvcore.DEGENERATE_RTOL * max(a.rho, b.rho)
     if weak:
-        if abs(a.u - b.u) <= du_tol:
+        # Mixed absolute and relative, like the density test but with a floor of 1.
+        if abs(a.u - b.u) <= fvcore.DEGENERATE_RTOL * (1.0 + u_scale):
             return None
         is_rarefaction = b.u > a.u
     else:
@@ -160,7 +163,7 @@ def _wave_segment(
     contact_like = p.model is Model.GCG and p.alpha == 1.0
     if is_rarefaction or weak:
         lo, hi = eigenvalues(p, a)[idx], eigenvalues(p, b)[idx]
-        if weak or contact_like:
+        if weak or contact_like or fvcore.fan_inverted(lo, hi, u_scale):
             lo = hi = 0.5 * (lo + hi)
     else:
         lo = hi = shock_speed(p, a, b)
@@ -173,13 +176,12 @@ def _wave_segment(
 def _assemble(
     p: PressureParams, left: State, mid: State, right: State
 ) -> tuple[WaveSegment, ...]:
-    # Mixed absolute and relative, like the density test but with a floor of 1.
-    du_tol = fvcore.DEGENERATE_RTOL * (1.0 + abs(left.u) + abs(right.u))
+    u_scale = abs(left.u) + abs(right.u)
     waves = []
-    w1 = _wave_segment(p, WaveFamily.ONE, left, mid, du_tol)
+    w1 = _wave_segment(p, WaveFamily.ONE, left, mid, u_scale)
     if w1 is not None:
         waves.append(w1)
-    w2 = _wave_segment(p, WaveFamily.TWO, mid, right, du_tol)
+    w2 = _wave_segment(p, WaveFamily.TWO, mid, right, u_scale)
     if w2 is not None:
         waves.append(w2)
     segs = []
@@ -312,12 +314,25 @@ def sample(sol: RiemannSolution, xi: float) -> SamplePoint:
 
     Exactly at a shock/contact/delta speed the state on the left of the
     discontinuity is returned, flagged; inside a vacuum interval the value is
-    (0, xi), flagged ``in_vacuum``.
+    (0, xi), flagged ``in_vacuum``. The point's segment is found by the rule
+    of ``sample_arrays``, walking the segments in Python, and gets the same
+    bits: a point inside a fan goes to the core as a one-element array, like
+    the array path's points (GCG's closed form uses ``**``, which on a 0-d
+    input can differ in the last bit).
     """
-    rho, u = (float(v[0]) for v in sample_arrays(sol, np.array([xi], dtype=float)))
-    for seg in sol.segments:
-        if seg.xi_lo == seg.xi_hi and xi == seg.xi_lo:
-            return SamplePoint(rho, u, on_delta=seg.kind is SegmentKind.DELTA, at_discontinuity=True)
+    xi = float(xi)
+    segs = sol.segments
+    seg = next((s for s in segs[:-1] if xi <= s.xi_hi), segs[-1])
+    if seg.kind is SegmentKind.VACUUM:
+        rho, u = 0.0, xi
+    elif seg.kind is SegmentKind.FAN and xi != seg.xi_hi:
+        rho, u = (float(v[0]) for v in _fan_states(sol.params, seg, np.array([xi])))
+    else:  # a fan's right edge is its right state
+        state = seg.right if seg.kind is SegmentKind.FAN else seg.left
+        rho, u = float(state.rho), float(state.u)
+    for s in segs:
+        if s.xi_lo == s.xi_hi and xi == s.xi_lo:
+            return SamplePoint(rho, u, on_delta=s.kind is SegmentKind.DELTA, at_discontinuity=True)
     # Only a vacuum interval has zero density: states and fans are positive.
     return SamplePoint(rho, u, in_vacuum=rho == 0.0)
 

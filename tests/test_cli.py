@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -457,6 +458,16 @@ def test_solve_across_150_decades_balances_shock_momentum(tmp_path, left):
     for seg in shocks:
         _, r_mom = rh_residuals(p, seg.left, seg.right, seg.speed)
         assert abs(r_mom) <= 1e-8 * _flux_scale(p, seg.left, seg.right, seg.speed)[1]
+
+
+def test_solve_samples_a_fan_across_200_decades(tmp_path):
+    # The profile samples the 2-fan from rho* = 2.5e-200 up to 1; its
+    # Newton once ran out of iterations there and the command exited 3.
+    args = ["solve", *_README_ECG, "--left", "1e-200,0", "--right", "1,0", "--samples", "400"]
+    assert main(args + ["--out", str(tmp_path)]) == EXIT_OK
+    rows = [line.split(",") for line in (tmp_path / "profile.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 400
+    assert all(math.isfinite(float(v)) for row in rows for v in row)
 
 
 def test_solve_both_sides_below_1e162_returns_two_fans(tmp_path):

@@ -473,6 +473,7 @@ def test_kernel_keeps_weak_waves_near_vacuum(right_u):
         (PressureParams.gcg(0.1, 0.5), State(1.0, 1.0), State(1.0, -1.0)),
         (PressureParams.transport(), State(1.0, -0.5), State(2.0, 0.5)),
         (PressureParams.transport(), State(4.0, 2.0), State(1.0, -1.0)),
+        (PressureParams.gcg(0.5, 0.6), State(1.0, -1.0), State(1.5, 1.0)),  # two GCG fans
     ],
 )
 def test_sample_arrays_matches_segment_states(p, left, right):
@@ -480,13 +481,20 @@ def test_sample_arrays_matches_segment_states(p, left, right):
     rng = np.random.default_rng(47)
     lo, hi = sol.speed_range()
     edges = [s.xi_lo for s in sol.segments[1:]] + [s.xi_hi for s in sol.segments[:-1]]
-    xis = np.concatenate([rng.uniform(lo - 1.0, hi + 1.0, 64), edges])
+    inside = [  # interior points of every fan and vacuum interval
+        x
+        for s in sol.segments
+        if s.kind in (SegmentKind.FAN, SegmentKind.VACUUM)
+        for x in np.linspace(s.xi_lo, s.xi_hi, 9)[1:-1]
+    ]
+    xis = np.concatenate([rng.uniform(lo - 1.0, hi + 1.0, 64), edges, inside, [-np.inf, np.inf]])
     rho, u = sample_arrays(sol, xis)
     for xi, r, v in zip(xis, rho, u):
         # Each point is solved on its own: alone it gives the same values.
         assert (r, v) == tuple(a[0] for a in sample_arrays(sol, [xi]))
+        # sample() walks the segments itself, to the same bits.
         pt = sample(sol, float(xi))
-        assert (r, v) == (pt.rho, pt.u)
+        assert _same_bits([r, v], [pt.rho, pt.u])
         seg = next(s for s in sol.segments if s.xi_lo <= xi <= s.xi_hi)
         if seg.kind is SegmentKind.VACUUM:
             assert (r, v) == (0.0, xi) and pt.in_vacuum
@@ -500,3 +508,49 @@ def test_sample_arrays_matches_segment_states(p, left, right):
             assert min(seg.left.rho, seg.right.rho) <= r <= max(seg.left.rho, seg.right.rho)
         else:  # a constant, or a point at the left end of the segment it opens
             assert (r, v) == (seg.left.rho, seg.left.u)
+
+
+def _counting(monkeypatch, calls, name):
+    fun = getattr(fvcore, name)
+
+    def counted(*args):
+        calls[name] += 1
+        return fun(*args)
+
+    monkeypatch.setattr(fvcore, name, counted)
+
+
+@pytest.mark.parametrize(
+    "left, right", [(State(1.0, -1.0), State(1.0, 1.0)), (State(1.0, 0.2), State(0.25, -0.32))], ids=["R1R2", "R1S2"]
+)
+def test_fan_sample_takes_one_quadrature_per_newton_evaluation(monkeypatch, left, right):
+    # Newton starts from a closed form and u moves the last evaluated jump:
+    # no quadrature for the guess or at the returned density.
+    sol = solve(PressureParams.ecg(0.1, 0.1, 2.0, 0.5), left, right)
+    for fan in (s for s in sol.segments if s.kind is SegmentKind.FAN):
+        calls = {"velocity_jump": 0, "_fan_residual": 0}
+        with monkeypatch.context() as patch:
+            _counting(patch, calls, "velocity_jump")
+            _counting(patch, calls, "_fan_residual")
+            sample(sol, 0.5 * (fan.xi_lo + fan.xi_hi))
+        assert calls["_fan_residual"] >= 2
+        assert calls["velocity_jump"] == calls["_fan_residual"]
+
+
+def test_two_hundred_decade_fan_samples_on_its_curve():
+    # The 2-fan of (1e-200, 0) | (1, 0) with the README model, from
+    # rho* = 2.5e-200 up to 1. Newton once started 380 e-folds from the root
+    # and walked there in capped steps of 4, out of iterations, at 7 of
+    # these 39 interior points.
+    sol = solve(PressureParams.ecg(0.1, 0.1, 2.0, 0.5), State(1e-200, 0.0), State(1.0, 0.0))
+    fan = next(s for s in sol.segments if s.kind is SegmentKind.FAN)
+    assert fan.family is chapgas.WaveFamily.TWO
+    xis = np.linspace(fan.xi_lo, fan.xi_hi, 41)[1:-1]
+    rho, u = sample_arrays(sol, xis)  # the array pass
+    ya = math.log(fan.left.rho)
+    for xi, r, v in zip(xis, rho, u):
+        pt = sample(sol, float(xi))  # the scalar pass
+        assert _same_bits([r, v], [pt.rho, pt.u])
+        assert fan.left.rho <= pt.rho <= fan.right.rho
+        jump = float(fvcore.velocity_jump(sol.params, ya, math.log(pt.rho)))
+        assert abs(pt.u - (fan.left.u + jump)) <= 1e-13 * (abs(fan.left.u) + abs(jump))

@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chapgas import (
@@ -16,6 +16,7 @@ from chapgas import (
     WaveFamily,
     delta_weight_at,
     eigenvalues,
+    fvcore,
     lax_check,
     pressure,
     sample,
@@ -345,6 +346,60 @@ def test_solve_is_admissible_over_the_acceptance_box(data):
     mid = sol.intermediate
     if mid is not None:  # None for a GCG delta shock
         assert abs(mid.u - curve_one_u(p, left, mid.rho)) <= 1e-10 * (1.0 + abs(mid.u))
+
+
+# GCG data next to the 1-curve: rho* lands 6.6e-10 below rho_r, above
+# DEGENERATE_RTOL, so the 2-fan stays; at alpha near 1 its speed hardly
+# varies, and its edge speeds came out in the wrong order by 3 ulps.
+_INVERTED_FAN = (
+    PressureParams.gcg(0.03633083913955321, 0.9865639644237079),
+    State(0.004499647518882009, 0.2709216127673306),
+    State(93.34793948742984, -40.57707870783596),
+)
+
+
+def test_fan_out_of_order_by_rounding_has_zero_width():
+    p, left, right = _INVERTED_FAN
+    sol = solve(p, left, right)
+    assert sol.pattern() == "S1+R2"
+    fan = sol.segments[-2]
+    lo, hi = eigenvalues(p, fan.left)[1], eigenvalues(p, fan.right)[1]
+    assert lo > hi
+    assert fan.xi_lo == fan.xi_hi == 0.5 * (lo + hi)
+    # The core's sampler, behind the Godunov flux, takes the same rule.
+    data = [np.array([v]) for v in (left.rho, left.u, right.rho, right.u)]
+    rs, us = fvcore.star_state(p, *data)
+    xis = fan.xi_lo + np.array([-1e-9, 1e-9, 1e-3])
+    kr, ku = fvcore.sample_classical(p, *(np.full(3, v[0]) for v in (*data, rs, us)), xis)
+    for xi, r, u in zip(xis, kr, ku):
+        pt = sample(sol, float(xi))
+        assert r == pytest.approx(pt.rho, rel=1e-12) and u == pytest.approx(pt.u, rel=1e-12)
+
+
+@st.composite
+def _next_to_the_one_curve(draw):
+    """ECG or GCG at alpha = 0.99 or 1, densities in [1e-3, 1e3], with the
+    right state 1e-13 to 1e-8 off the left state's forward 1-curve."""
+    B, alpha = draw(_log_uniform(1e-3, 1.0)), draw(st.sampled_from([0.99, 1.0]))
+    if draw(st.booleans()):
+        p = PressureParams.ecg(draw(_log_uniform(1e-3, 1.0)), B, draw(st.floats(1.0, 3.0)), alpha)
+    else:
+        p = PressureParams.gcg(B, alpha)
+    rho = _log_uniform(1e-3, 1e3)
+    left, rho_r = State(draw(rho), draw(st.floats(-2.0, 2.0))), draw(rho)
+    gap = draw(_log_uniform(1e-13, 1e-8)) * draw(st.sampled_from([-1.0, 1.0]))
+    return p, left, State(rho_r, curve_one_u(p, left, rho_r) + gap)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_next_to_the_one_curve())
+@example(_INVERTED_FAN)
+def test_solve_next_to_the_one_curve_near_alpha_one(data):
+    # The 2-wave is weak there; its fan's edge speeds may tie to rounding.
+    p, left, right = data
+    sol = solve(p, left, right)
+    bounds = [xi for seg in sol.segments for xi in (seg.xi_lo, seg.xi_hi)]
+    assert bounds == sorted(bounds)
 
 
 def test_weak_waves_within_both_tolerances_are_dropped():
