@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 soft convergence failure (sweep flags false),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -623,6 +624,12 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built on the first ``main`` call and reused by the later ones."""
+    return build_parser()
+
+
 _COMMANDS = {
     "solve": cmd_solve,
     "classify": cmd_classify,
@@ -633,7 +640,7 @@ _COMMANDS = {
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    ap = build_parser()
+    ap = _parser()
     try:
         args = ap.parse_args(argv)
     except SystemExit as exc:  # argparse uses its own exit codes

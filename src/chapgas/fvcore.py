@@ -16,7 +16,10 @@ root from the start, so its steps are not capped, and a step that leaves the
 bracket bisects it. u comes from the last evaluated jump moved along to the
 returned density, so a fan point costs one quadrature per Newton evaluation.
 Each element iterates on its own and stops on its own, so a result does not
-depend on which other elements share the array.
+depend on which other elements share the array. An element stops on a step
+of at most ``_TOL_Y``, or returns y + s at once after a plain Newton step s
+inside its bracket of at most ``_TOL_STEP``, whose error K s^2 is below
+rounding (``_newton_step``): no evaluation only to confirm convergence.
 
 The size of the inputs alone picks one of two passes of that Newton. Inputs
 that broadcast to one element (every exact solve and most fan samples) run
@@ -75,6 +78,9 @@ _LN2 = math.log(2.0)
 _EPS = 2.220446049250313e-16
 # Newton stops once a step moves y = log rho by at most this much.
 _TOL_Y = 1e-13
+# A plain Newton step inside the bracket (neither capped nor bisecting) of at
+# most this length settles its element (see ``_newton_step``).
+_TOL_STEP = 1e-8
 # Largest Newton step in y before the root is bracketed (a factor e^4 in rho).
 _MAX_STEP_Y = 4.0
 # The representable density range the star state must lie in.
@@ -187,7 +193,7 @@ def fan_inverted(lo, hi, u_scale):
 
 
 def _newton_step(h, dh, noise, y, lo, hi, capped=True):
-    """One safeguarded Newton step per element: (lo, hi, next y).
+    """One safeguarded Newton step per element: (lo, hi, next y, moving).
 
     ``h`` is the increasing function at ``y``, ``dh`` its derivative and
     ``noise`` the rounding level of its terms; |h| within it settles the
@@ -195,6 +201,21 @@ def _newton_step(h, dh, noise, y, lo, hi, capped=True):
     and tighten as signs are seen; a step that leaves the bracket bisects it
     instead. ``capped`` caps steps at ``_MAX_STEP_Y``, for brackets that
     start open; a bracket that is finite from the start needs no cap.
+
+    ``moving`` marks the elements that go on from the next y. The others
+    stop there: a bisection that moved y by at most ``_TOL_Y``, or a trusted
+    Newton step, one inside the bracket that moved y by at most
+    ``_TOL_STEP``. Such a step s leaves an error of about K s^2, with
+    K = |h''| / (2 h') near the root, and the c^2 exponents n - 1 and
+    -(alpha + 1) bound K: on a rarefaction branch h' is a sum of sound
+    speeds and h''/h' = c'/c is half a weighted mean of those exponents, so
+    K <= max(n - 1, alpha + 1) / 4 <= 1/2; the fan speed's |h''/h'| is at
+    most 3/2 of their larger size, K <= 3/2; on a shock branch K <= 1.5 was
+    measured over the parameter box (1 <= n <= 3, 0 < alpha <= 1). So
+    s <= 1e-8 ~ sqrt(eps / K) leaves an error K s^2 below one rounding unit
+    of y: the next step, which the ``_TOL_Y`` test alone would wait for,
+    could move y by rounding only. A bisection carries no such bound, and a
+    capped step or one without a usable slope is never that short.
     """
     below = h < 0.0  # the root lies above y; h == 0 puts it at y
     lo, hi = _where(below, y, lo), _where(below, hi, y)
@@ -212,7 +233,11 @@ def _newton_step(h, dh, noise, y, lo, hi, capped=True):
     # (While one side is open, only such a step can leave the bracket.)
     leaves = ~((yn > lo) & (yn < hi)) & (abs(yn - y) > _TOL_Y)
     yn = _where(leaves, 0.5 * (lo + hi), yn)
-    return lo, hi, _where(abs(h) <= noise, y, yn)
+    yn = _where(abs(h) <= noise, y, yn)
+    # Capped and no-slope steps move y by _MAX_STEP_Y, so a move within
+    # _TOL_STEP that did not bisect is a trusted Newton step. (A NaN step
+    # stops, as it always has: fun raises on what it cannot evaluate.)
+    return lo, hi, yn, abs(yn - y) > _where(leaves, _TOL_Y, _TOL_STEP)
 
 
 _NOT_SETTLED = f"Newton iteration did not settle in {_MAX_ITERATIONS} steps"
@@ -222,9 +247,10 @@ def _newton_increasing(fun, y, lo, hi, capped=True):
     """Root in y of an increasing function, per element, by safeguarded Newton.
 
     ``fun(y, idx)`` returns (h, dh/dy, noise) for the elements ``idx`` at
-    ``y``; an element is done when a step moves it by at most ``_TOL_Y`` or
-    when ``_newton_step`` settles it. ``fun`` raises when an iterate leaves
-    the range it can evaluate. ``y``, ``lo`` and ``hi`` are updated in place;
+    ``y``; an element is done when ``_newton_step`` stops it: a trusted
+    Newton step of at most ``_TOL_STEP``, any step of at most ``_TOL_Y``,
+    or |h| within its noise. ``fun`` raises when an iterate leaves the range
+    it can evaluate. ``y``, ``lo`` and ``hi`` are updated in place;
     ``capped`` is ``_newton_step``'s.
     ``idx`` is a slice over every element until the first one settles, then
     the index array of the elements still active.
@@ -233,9 +259,7 @@ def _newton_increasing(fun, y, lo, hi, capped=True):
     for _ in range(_MAX_ITERATIONS):
         ya = y[active]
         h, dh, noise = fun(ya, active)
-        lo[active], hi[active], yn = _newton_step(h, dh, noise, ya, lo[active], hi[active], capped)
-        moving = np.abs(yn - ya) > _TOL_Y  # before ya, a view under a slice, is overwritten
-        y[active] = yn
+        lo[active], hi[active], y[active], moving = _newton_step(h, dh, noise, ya, lo[active], hi[active], capped)
         # count_nonzero: a fraction of the cost of .all() on small arrays
         if np.count_nonzero(moving) < moving.size:
             active = np.flatnonzero(moving) if isinstance(active, slice) else active[moving]
@@ -248,10 +272,9 @@ def _newton_one(fun, y, lo, hi, capped=True):
     """``_newton_increasing`` for one element on numpy float64 scalars; ``fun(y)`` gives (h, dh, noise)."""
     for _ in range(_MAX_ITERATIONS):
         h, dh, noise = fun(y)
-        lo, hi, yn = _newton_step(h, dh, noise, y, lo, hi, capped)
-        if not abs(yn - y) > _TOL_Y:
-            return yn
-        y = yn
+        lo, hi, y, moving = _newton_step(h, dh, noise, y, lo, hi, capped)
+        if not moving:
+            return y
     raise NumericalLimitError(_NOT_SETTLED)
 
 
@@ -382,7 +405,7 @@ def star_state(p: PressureParams, rl, ul, rr, ur):
     inf = np.full(y.shape, np.inf)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # once, not per step
         y = _newton_increasing(mismatch, y, -inf, inf.copy())
-    # The last step moved y by at most _TOL_Y: move phi along with it.
+    # The last step moved y by at most _TOL_STEP: move phi along with it.
     y_seen, phi_l, phi_r, dphi_l, dphi_r = seen
     return np.exp(y), _star_velocity(ul, ur, y - y_seen, phi_l, phi_r, dphi_l, dphi_r)
 
@@ -481,7 +504,7 @@ def fan_state(p: PressureParams, sign, ra, ua, rb, xi):
     Newton starts from ``_fan_start``, a closed form in the edge sound
     speeds alone. The bracket is finite from the start, so steps are not
     capped: a step that leaves it bisects it. The last step moves y by at
-    most ``_TOL_Y``, so u takes the last evaluated jump moved along by c
+    most ``_TOL_STEP``, so u takes the last evaluated jump moved along by c
     times that step, as ``star_state`` moves phi, with no quadrature at the
     returned y: one quadrature per Newton evaluation in all. ECG inputs that
     broadcast to one element take the scalar pass (``_fan_state_one``); its

@@ -316,9 +316,10 @@ def sample(sol: RiemannSolution, xi: float) -> SamplePoint:
     discontinuity is returned, flagged; inside a vacuum interval the value is
     (0, xi), flagged ``in_vacuum``. The point's segment is found by the rule
     of ``sample_arrays``, walking the segments in Python, and gets the same
-    bits: a point inside a fan goes to the core as a one-element array, like
-    the array path's points (GCG's closed form uses ``**``, which on a 0-d
-    input can differ in the last bit).
+    bits: a point inside an ECG fan goes to the core as Python floats, which
+    take its scalar pass, as a lone array point does; inside a GCG fan it
+    goes as a one-element array, like the array path's points (GCG's closed
+    form uses ``**``, which on a 0-d input can differ in the last bit).
     """
     xi = float(xi)
     segs = sol.segments
@@ -326,7 +327,10 @@ def sample(sol: RiemannSolution, xi: float) -> SamplePoint:
     if seg.kind is SegmentKind.VACUUM:
         rho, u = 0.0, xi
     elif seg.kind is SegmentKind.FAN and xi != seg.xi_hi:
-        rho, u = (float(v[0]) for v in _fan_states(sol.params, seg, np.array([xi])))
+        if sol.params.model is Model.GCG:
+            rho, u = (float(v[0]) for v in _fan_states(sol.params, seg, np.array([xi])))
+        else:
+            rho, u = (float(v) for v in _fan_states(sol.params, seg, xi))
     else:  # a fan's right edge is its right state
         state = seg.right if seg.kind is SegmentKind.FAN else seg.left
         rho, u = float(state.rho), float(state.u)

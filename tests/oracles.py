@@ -3,12 +3,13 @@
 Globally adaptive Gauss-Kronrod quadrature, the closed-form rarefaction
 integrals of the two one-term pressure laws, the quadratic the GCG
 delta-shock speed satisfies, ``fvcore.velocity_jump`` written as one
-Python iteration per panel, and the intermediate state of a two-wave
+Python iteration per panel, the intermediate state of a two-wave
 solution by bisection in rho on the wave-curve mismatch, an independent
-check of the core's Newton. The adaptive quadrature keeps its own copy of
-the Kronrod-15 nodes and weights, so it checks ``fvcore``'s table instead of
-sharing it; the panel loop shares the table, because it checks the order of
-the arithmetic and not the rule.
+check of the core's Newton, and that Newton's one-element loop with the
+stopping rule it had before trusted steps settled it. The adaptive
+quadrature keeps its own copy of the Kronrod-15 nodes and weights, so it
+checks ``fvcore``'s table instead of sharing it; the panel loop shares the
+table, because it checks the order of the arithmetic and not the rule.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from chapgas import ChapgasError, DomainError, PressureParams, State, fvcore
+from chapgas import ChapgasError, DomainError, NumericalLimitError, PressureParams, State, fvcore
 from chapgas.models import shock_radicand
 from chapgas.waves import curve_one_u, velocity_jump_integral
 
@@ -323,3 +324,22 @@ def bisection_star_state(p: PressureParams, left: State, right: State) -> State:
         rho_star = lo if lo == hi else find_root(mismatch, lo, hi)
     u_star = 0.5 * (curve_one_u(p, left, rho_star) + curve_two_u_backward(p, right, rho_star))
     return State(rho_star, u_star)
+
+
+def newton_one_to_tol_y(fun, y, lo, hi, capped=True):
+    """``fvcore._newton_one`` stopping only on a step of at most ``fvcore._TOL_Y``.
+
+    The same safeguarded step, ``fvcore._newton_step``, with its ``moving``
+    flag ignored: an element stops once a step moves y by at most
+    ``_TOL_Y`` (|h| within its noise makes that step 0), so it always pays
+    the evaluation that confirms a trusted Newton step. Patched over
+    ``fvcore._newton_one``, it gives every one-element star state and ECG
+    fan point as the core computed them before it trusted such steps.
+    """
+    for _ in range(fvcore._MAX_ITERATIONS):
+        h, dh, noise = fun(y)
+        lo, hi, yn, _ = fvcore._newton_step(h, dh, noise, y, lo, hi, capped)
+        if not abs(yn - y) > fvcore._TOL_Y:
+            return yn
+        y = yn
+    raise NumericalLimitError(fvcore._NOT_SETTLED)

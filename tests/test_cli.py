@@ -12,6 +12,7 @@ from chapgas import (
     sample,
     solve,
 )
+from chapgas import cli
 from chapgas.cli import (
     EXIT_INPUT,
     EXIT_NUMERICAL,
@@ -512,3 +513,29 @@ def test_negative_sample_count_is_an_input_error(tmp_path, capsys, command):
     assert main(args + ["--samples", "-5"]) == EXIT_INPUT
     assert "--samples" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+_CLASSIFY_S1S2 = [
+    "classify", "--model", "ecg", "--A", "0.1", "--B", "0.1", "--n", "2", "--alpha", "0.5",
+    "--left", "1,1", "--right", "1,-1",
+]
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    built = []
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    cli._parser.cache_clear()
+    runs = []
+    for _ in range(2):
+        code = main(_CLASSIFY_S1S2)
+        runs.append((code, capsys.readouterr().out))
+    assert runs[0] == runs[1] == (EXIT_OK, "S1S2\n")
+    assert len(built) == 1
+
+
+def test_parser_survives_a_bad_argv(capsys):
+    assert main(["classify", "--model", "steam"]) == EXIT_INPUT
+    assert "invalid choice" in capsys.readouterr().err
+    assert main(_CLASSIFY_S1S2) == EXIT_OK
+    assert capsys.readouterr().out == "S1S2\n"

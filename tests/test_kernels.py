@@ -10,7 +10,7 @@ from chapgas import NumericalLimitError, PressureParams, SegmentKind, State, fvc
 from chapgas.models import gcg_asymptote, pressure
 from chapgas.solver import sample_arrays
 from chapgas.waves import classify_gcg, curve_one_u, curve_two_u, velocity_jump_integral
-from oracles import bisection_star_state, integrate, panel_loop_velocity_jump
+from oracles import bisection_star_state, integrate, newton_one_to_tol_y, panel_loop_velocity_jump
 
 
 def _arrays(*values):
@@ -510,6 +510,25 @@ def test_sample_arrays_matches_segment_states(p, left, right):
             assert (r, v) == (seg.left.rho, seg.left.u)
 
 
+def test_sample_in_ecg_fans_is_sample_arrays_bitwise():
+    # sample() hands an ECG fan point to the core as Python floats, the
+    # array path as an array: both take the scalar pass and get the same bits.
+    rng = np.random.default_rng(123)
+    checked = 0
+    while checked < 200:
+        p = PressureParams.ecg(*10.0 ** rng.uniform(-3.0, 0.0, 2), rng.uniform(1.0, 3.0), rng.uniform(0.05, 1.0))
+        left, right = (State(10.0 ** rng.uniform(-3.0, 3.0), rng.uniform(-2.0, 2.0)) for _ in range(2))
+        sol = solve(p, left, right)
+        for fan in (s for s in sol.segments if s.kind is SegmentKind.FAN):
+            xis = fan.xi_lo + rng.uniform(0.0, 1.0, 4) * (fan.xi_hi - fan.xi_lo)
+            rho, u = sample_arrays(sol, xis)
+            for xi, r, v in zip(xis, rho, u):
+                pt = sample(sol, float(xi))
+                assert _same_bits([r, v], [pt.rho, pt.u])
+                assert _same_bits([r, v], [a[0] for a in sample_arrays(sol, [xi])])
+                checked += 1
+
+
 def _counting(monkeypatch, calls, name):
     fun = getattr(fvcore, name)
 
@@ -554,3 +573,143 @@ def test_two_hundred_decade_fan_samples_on_its_curve():
         assert fan.left.rho <= pt.rho <= fan.right.rho
         jump = float(fvcore.velocity_jump(sol.params, ya, math.log(pt.rho)))
         assert abs(pt.u - (fan.left.u + jump)) <= 1e-13 * (abs(fan.left.u) + abs(jump))
+
+
+def _stop_rule_data():
+    """(p, rl, ul, rr, ur) groups: the acceptance box, FV-like neighbours and 150/200-decade data."""
+    rng = np.random.default_rng(121)
+    groups = []
+    for k in range(40):
+        # The acceptance box: A, B in [1e-3, 1], n in [1, 3], alpha in [0.05, 1],
+        # densities in [1e-2, 1e2], velocities in [-2, 2].
+        B, alpha = 10.0 ** rng.uniform(-3.0, 0.0), rng.uniform(0.05, 1.0)
+        if k % 2:
+            p = PressureParams.gcg(B, alpha)
+        else:
+            p = PressureParams.ecg(10.0 ** rng.uniform(-3.0, 0.0), B, rng.uniform(1.0, 3.0), alpha)
+        rl, rr = 10.0 ** rng.uniform(-2.0, 2.0, (2, 12))
+        ul, ur = rng.uniform(-2.0, 2.0, (2, 12))
+        # Neighbours as a smooth grid has them: within 1e-8 to 1e-2 of each other.
+        near = 10.0 ** rng.uniform(-8.0, -2.0, (2, 12)) * rng.choice([-1.0, 1.0], (2, 12))
+        rl, ul = np.append(rl, rl), np.append(ul, ul)
+        rr, ur = np.append(rr, rl[:12] * (1.0 + near[0])), np.append(ur, ul[:12] + near[1])
+        if p.model is chapgas.Model.GCG:  # no delta shocks: those have no star state
+            keep = ur + gcg_asymptote(p, rr) > ul - gcg_asymptote(p, rl)
+            rl, ul, rr, ur = (a[keep] for a in (rl, ul, rr, ur))
+        groups.append((p, rl, ul, rr, ur))
+    rows = [(rho_l, 0.0, 1.0, 0.0) for rho_l, *_ in STAR_STATE_REFERENCES]
+    rows += [(1.0, 0.0, rho_l, 0.0) for rho_l, *_ in STAR_STATE_REFERENCES]
+    groups.append((PressureParams.ecg(0.1, 0.1, 2.0, 0.5), *np.array(rows).T))
+    return groups
+
+
+def test_trusted_newton_steps_keep_star_states_of_the_tol_y_rule(monkeypatch):
+    # An element settles on a plain in-bracket Newton step of at most
+    # _TOL_STEP instead of waiting for a step of at most _TOL_Y; the results
+    # stay within the mismatch's rounding of the old rule's, with fewer
+    # evaluations.
+    calls = {"_star_mismatch": 0}
+    _counting(monkeypatch, calls, "_star_mismatch")
+    groups = [(p, data, fvcore.star_state(p, *data)) for p, *data in _stop_rule_data()]  # the array pass
+    evals = {}
+    for rule in ("trusted", "tol_y"):
+        if rule == "tol_y":
+            monkeypatch.setattr(fvcore, "_newton_one", newton_one_to_tol_y)
+        calls["_star_mismatch"] = 0
+        alone = [  # the scalar pass
+            [fvcore.star_state(p, *(float(v[i]) for v in data)) for i in range(rs.size)] for p, data, (rs, _) in groups
+        ]
+        evals[rule] = calls["_star_mismatch"]
+    assert evals["tol_y"] > evals["trusted"]
+    checked = 0
+    for (p, data, (rs, us)), old in zip(groups, alone):
+        for i, (ro, uo) in enumerate(old):
+            assert abs(rs[i] - ro) <= 1e-14 * ro
+            assert abs(us[i] - uo) <= 1e-14 * (abs(uo) + abs(data[0][i]) + abs(data[2][i]))
+            checked += 1
+    assert checked >= 700
+
+
+def test_trusted_newton_steps_keep_fan_points_of_the_tol_y_rule(monkeypatch):
+    rng = np.random.default_rng(122)
+    fans = []
+    for k in range(20):
+        p = PressureParams.ecg(*10.0 ** rng.uniform(-3.0, 0.0, 2), rng.uniform(1.0, 3.0), rng.uniform(0.05, 1.0))
+        sign = -1.0 if k % 2 else 1.0
+        ra, rb = 10.0 ** rng.uniform(-3.0, 3.0, (2, 20))
+        ua = rng.uniform(-2.0, 2.0, 20)
+        c_a, c_b = (np.sqrt(chapgas.models.cs2_law(p.A, p.B, p.n, p.alpha, r)) for r in (ra, rb))
+        lam_a = ua + sign * c_a
+        lam_b = ua + sign * (fvcore.velocity_jump(p, np.log(ra), np.log(rb)) + c_b)
+        xi = lam_a + rng.uniform(0.0, 1.0, 20) * (lam_b - lam_a)
+        fans.append((p, sign, ra, ua, rb, xi, fvcore.fan_state(p, sign, ra, ua, rb, xi)))
+    monkeypatch.setattr(fvcore, "_newton_one", newton_one_to_tol_y)
+    for p, sign, ra, ua, rb, xi, (rho, u) in fans:
+        for i in range(rho.size):
+            ro, uo = fvcore.fan_state(p, sign, float(ra[i]), float(ua[i]), float(rb[i]), float(xi[i]))
+            assert abs(rho[i] - ro) <= 1e-14 * ro
+            assert abs(u[i] - uo) <= 1e-14 * (abs(uo) + abs(ua[i]) + abs(xi[i]))
+
+
+@pytest.mark.parametrize(
+    "left, right, most", [(State(1.0, 1.0), State(1.0, -1.0), 5), (State(1.0, -1.0), State(1.0, 1.0), 4)],
+    ids=["S1S2", "R1R2"],
+)
+def test_readme_solve_takes_few_mismatch_evaluations(monkeypatch, left, right, most):
+    calls = {"_star_mismatch": 0}
+    _counting(monkeypatch, calls, "_star_mismatch")
+    solve(PressureParams.ecg(0.1, 0.1, 2.0, 0.5), left, right)
+    assert 2 <= calls["_star_mismatch"] <= most
+
+
+def test_godunov_steps_on_96_cells_take_three_newton_rounds(monkeypatch):
+    # Every step of the README R1+S2 datum on 96 cells that solves more than
+    # one interface (the first has only the datum's own): one array mismatch
+    # evaluation per Newton round, three rounds at most.
+    p = PressureParams.ecg(0.1, 0.1, 2.0, 0.5)
+    calls = {"_star_mismatch": 0}
+    _counting(monkeypatch, calls, "_star_mismatch")
+    rounds = []
+    star_state = fvcore.star_state
+
+    def counted(p, *data):
+        calls["_star_mismatch"] = 0
+        out = star_state(p, *data)
+        if np.size(data[0]) > 1:
+            rounds.append(calls["_star_mismatch"])
+        return out
+
+    monkeypatch.setattr(fvcore, "star_state", counted)
+    snap = chapgas.evolve(p, State(1.0, 0.2), State(0.25, -0.32), chapgas.GridConfig(-0.4, 0.4, 96, 0.9, 0.2))
+    assert len(rounds) == len(snap.steps) - 1 >= 20
+    assert max(rounds) <= 3
+
+
+@pytest.mark.parametrize("batch", [False, True], ids=["scalar", "array"])
+@pytest.mark.parametrize(
+    "start, lo, hi",
+    [
+        # Newton's step (8e-6) is long; the bisection it turns into is short.
+        (-8e-9, -1e-8, 3e-9),
+        # Newton's step (5e-9) is short, but it leaves the bracket.
+        (-5e-12, -1e-8, 1e-12),
+    ],
+    ids=["long-newton-step", "short-newton-step"],
+)
+def test_a_short_bisection_does_not_settle_newton(batch, start, lo, hi):
+    # The reported slope is 1000 times too small, so every Newton step
+    # overshoots the bracket and bisects it instead. The bisections move y
+    # by less than _TOL_STEP but carry no error bound, so Newton goes on
+    # until a step is within _TOL_Y, where a trusted step would have stopped
+    # 1e-12 or more from the root.
+    root = 0.5
+
+    def fun(y, idx=None):
+        return y - root, np.full(np.shape(y), 1e-3)[()], np.zeros(np.shape(y))[()]
+
+    y0, lo, hi = root + start, root + lo, root + hi
+    if batch:
+        y = fvcore._newton_increasing(fun, np.array([y0]), np.array([lo]), np.array([hi]), capped=False)[0]
+    else:
+        y = fvcore._newton_one(fun, np.float64(y0), np.float64(lo), np.float64(hi), capped=False)
+    assert abs(y - root) <= 2.0 * fvcore._TOL_Y
