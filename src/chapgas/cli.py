@@ -30,10 +30,11 @@ from .solver import (
     RiemannSolution,
     SegmentKind,
     WaveSegment,
+    region_of,
     sample_arrays,
     solve,
 )
-from .waves import WaveFamily, classify_ecg, classify_gcg, curve_one_u, curve_two_u
+from .waves import WaveFamily, curve_one_u, curve_two_u
 
 EXIT_OK = 0
 EXIT_SOFT_FAIL = 1
@@ -273,14 +274,13 @@ def segment_from_dict(d: dict) -> WaveSegment:
     )
 
 
-def region_label(p: PressureParams, left: State, right: State) -> str:
-    if p.model is Model.ECG:
-        return classify_ecg(p, left, right).resolve()
-    if p.model is Model.GCG:
-        return classify_gcg(p, left, right).resolve()
-    if left.u < right.u:
+def region_label(sol: RiemannSolution) -> str:
+    """The solution's region, resolved off the boundary; for transport, its wave."""
+    if sol.params.model is not Model.TRANSPORT:
+        return region_of(sol).resolve()
+    if sol.left.u < sol.right.u:
         return "vacuum"
-    if left.u == right.u:
+    if sol.left.u == sol.right.u:
         return "contact"
     return "delta"
 
@@ -290,7 +290,7 @@ def solution_to_dict(sol: RiemannSolution) -> dict:
         "model": params_to_dict(sol.params),
         "left": state_to_dict(sol.left),
         "right": state_to_dict(sol.right),
-        "region": region_label(sol.params, sol.left, sol.right),
+        "region": region_label(sol),
         "pattern": sol.pattern(),
         "intermediate": state_to_dict(sol.intermediate),
         "delta": delta_to_dict(sol.delta),
@@ -399,7 +399,7 @@ def cmd_solve(problem: Problem, args: argparse.Namespace) -> int:
 
 
 def cmd_classify(problem: Problem, args: argparse.Namespace) -> int:
-    print(region_label(problem.params, problem.left, problem.right))
+    print(region_label(solve(problem.params, problem.left, problem.right)))
     return EXIT_OK
 
 
@@ -529,17 +529,15 @@ def cmd_fv(problem: Problem, args: argparse.Namespace) -> int:
 def _phase_series(problem: Problem) -> list[svgplot.Series]:
     p, left = problem.params, problem.left
     rho0 = left.rho
-    rhos_lo = np.geomspace(rho0 * 1e-3, rho0, 160)
-    rhos_hi = np.geomspace(rho0, rho0 * 1e3, 160)
-    series = []
-    r1 = [curve_one_u(p, left, float(r)) for r in rhos_lo]
-    s1 = [curve_one_u(p, left, float(r)) for r in rhos_hi]
-    s2 = [curve_two_u(p, left, float(r)) for r in rhos_lo]
-    r2 = [curve_two_u(p, left, float(r)) for r in rhos_hi]
-    series.append(svgplot.Series(r1, list(rhos_lo), "R1"))
-    series.append(svgplot.Series(s1, list(rhos_hi), "S1"))
-    series.append(svgplot.Series(s2, list(rhos_lo), "S2"))
-    series.append(svgplot.Series(r2, list(rhos_hi), "R2"))
+    lo, hi = np.geomspace(rho0 * 1e-3, rho0, 160), np.geomspace(rho0, rho0 * 1e3, 160)
+    # Each curve in one call: rarefaction and shock branch below and above rho0.
+    one, two = (curve(p, left, np.concatenate([lo, hi])) for curve in (curve_one_u, curve_two_u))
+    series = [
+        svgplot.Series(one[:160].tolist(), lo.tolist(), "R1"),
+        svgplot.Series(one[160:].tolist(), hi.tolist(), "S1"),
+        svgplot.Series(two[:160].tolist(), lo.tolist(), "S2"),
+        svgplot.Series(two[160:].tolist(), hi.tolist(), "R2"),
+    ]
     if p.model is Model.GCG:
         rhos = np.geomspace(rho0 * 1e-3, rho0 * 1e3, 200)
         sdelta = left.u - gcg_asymptote(p, left.rho) - gcg_asymptote(p, rhos)

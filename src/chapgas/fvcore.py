@@ -34,7 +34,7 @@ last bit.
 Model dispatch follows the ``PressureParams`` tag: transport has no pressure,
 GCG (A = 0) uses the closed-form rarefaction integral and fan inversion, ECG
 integrates it with Kronrod-15 panels no wider than one octave in density.
-``pressure``, ``cs2`` and the GCG asymptote are the pressure law of ``models``.
+``pressure``, ``cs2`` and the GCG delta-region test come from ``models``.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ import math
 import numpy as np
 
 from .errors import NumericalLimitError
-from .models import Model, PressureParams, cs2_law as cs2, gcg_asymptote, pressure_law as pressure
+from .models import Model, PressureParams, cs2_law as cs2, gcg_delta_region, pressure_law as pressure
 
 # Relative density-jump threshold below which a wave counts as zero-strength.
 DEGENERATE_RTOL = 1e-10
@@ -693,7 +693,7 @@ def godunov_flux(p: PressureParams, rho, u, lam):
         trivial = (rl == rr) & (ul == ur)
         delta = np.zeros_like(trivial)
         if p.model is Model.GCG:
-            delta = ~trivial & (ur + gcg_asymptote(p, rr) <= ul - gcg_asymptote(p, rl))
+            delta = ~trivial & gcg_delta_region(p, rl, ul, rr, ur)
         cls = ~trivial & ~delta
         if cls.any():
             sub = (rl[cls], ul[cls], rr[cls], ur[cls])

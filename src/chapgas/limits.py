@@ -16,9 +16,9 @@ from enum import Enum
 from typing import Optional
 
 from .errors import DomainError, ScheduleError
-from .models import PressureParams, State, eigenvalues, pressure_law
-from .solver import solve_ecg, solve_gcg
-from .waves import classify_ecg, classify_gcg, gcg_delta_region, rh_residuals
+from .models import PressureParams, State, eigenvalues, gcg_delta_region, pressure_law
+from .solver import region_of, solve_ecg, solve_gcg
+from .waves import rh_residuals
 
 
 class SweepMode(Enum):
@@ -167,7 +167,7 @@ def target_gcg_delta(
 ) -> tuple[float, float]:
     """Delta-shock speed and weight rate of the fixed-B limit model (region V data)."""
     p = PressureParams.gcg(B, alpha)
-    if not gcg_delta_region(p, left, right):
+    if not gcg_delta_region(p, left.rho, left.u, right.rho, right.u):
         raise DomainError("data outside the delta-shock region of the limit model")
     d = solve_gcg(p, left, right).delta
     return d.sigma, d.weight_rate
@@ -181,7 +181,7 @@ def threshold_A0(
     Returns +inf at equal densities, where every A qualifies.
     """
     p = PressureParams.gcg(B, alpha)
-    if not gcg_delta_region(p, left, right):
+    if not gcg_delta_region(p, left.rho, left.u, right.rho, right.u):
         raise DomainError("data must lie in the delta-shock region of the limit model")
     rl, ul, rr, ur = left.rho, left.u, right.rho, right.u
     if rr == rl:
@@ -254,7 +254,7 @@ def _require_below(sched: Schedule, name: str, threshold: float) -> None:
 def _sweep_points(
     sched: Schedule, left: State, right: State, want: str
 ) -> list[SweepPoint]:
-    """Solve the datum at every schedule point; each must classify ``want``.
+    """Solve the datum at every schedule point; each solution's region must be ``want``.
 
     ``sigma1`` and ``sigma2`` are the outer speeds of the wave pair, the
     first wave's ``xi_lo`` and the last wave's ``xi_hi``: the two shock
@@ -263,12 +263,12 @@ def _sweep_points(
     points = []
     for A, B in sched.points:
         p = PressureParams.ecg(A, B, sched.n, sched.alpha)
-        region = classify_ecg(p, left, right).tag
+        sol = solve_ecg(p, left, right)
+        region = region_of(sol).tag
         if region != want:
             raise ScheduleError(
                 f"schedule point (A={A:g}, B={B:g}) classifies {region}, need {want}"
             )
-        sol = solve_ecg(p, left, right)
         rho, u = sol.intermediate.rho, sol.intermediate.u
         s1, s2 = sol.speed_range()
         arn = A * rho**sched.n
@@ -377,21 +377,21 @@ def run_to_gcg_sweep(
     """
     if sched.mode is not SweepMode.A_VANISHES:
         raise ScheduleError("fixed-B sweep needs an A-vanishes schedule")
-    gcg = PressureParams.gcg(sched.B_fixed, sched.alpha)
-    region = classify_gcg(gcg, left, right).tag
+    limit = solve_gcg(PressureParams.gcg(sched.B_fixed, sched.alpha), left, right)
+    region = region_of(limit).tag
     if region == "V":
-        return _gcg_delta_branch(left, right, sched, tol)
+        return _gcg_delta_branch(left, right, sched, tol, limit.delta.sigma)
     if region == "I":
         return _gcg_rarefaction_branch(left, right, sched, tol)
     raise ScheduleError(f"data classifies {region} in the limit model, need V or I")
 
 
 def _gcg_delta_branch(
-    left: State, right: State, sched: Schedule, tol: float
+    left: State, right: State, sched: Schedule, tol: float, sigma_b: float
 ) -> SweepReport:
+    """The delta-shock branch, with sigma_b the limit model's delta-shock speed."""
     B = sched.B_fixed
     _require_below(sched, "A0", threshold_A0(left, right, B, sched.n, sched.alpha))
-    sigma_b, _ = target_gcg_delta(left, right, B, sched.alpha)
     rl, ul, rr, ur = left.rho, left.u, right.rho, right.u
     bound = rl * (ul - ur) ** 2
     gcg = PressureParams.gcg(B, sched.alpha)

@@ -7,8 +7,9 @@ Three model tags are supported:
 * ``TRANSPORT`` -- the pressureless A = B = 0 case.
 
 The pressure law and the relations built on it are written once, here, for
-floats and numpy arrays alike: P, c^2, the shock radicand and the GCG
-asymptote. ``pressure`` and ``sound_speed_sq`` are the checked scalar forms.
+floats and numpy arrays alike: P, c^2, the shock radicand, the GCG
+asymptote and the region-V test on it. ``pressure`` and ``sound_speed_sq``
+are the checked scalar forms.
 
 Everything here is a pure function of its arguments; parameter and state
 values are immutable and safe to share across threads.
@@ -135,8 +136,13 @@ def shock_radicand(p: PressureParams, rho_a, rho_b):
 
 
 def gcg_asymptote(p: PressureParams, rho):
-    """asym(rho) = sqrt(B)*rho^-(alpha+1)/2; GCG region V is u+ + asym(rho+) <= u- - asym(rho-)."""
+    """asym(rho) = sqrt(B)*rho^-(alpha+1)/2, which bounds GCG region V (``gcg_delta_region``)."""
     return math.sqrt(p.B) * rho ** (-0.5 * (p.alpha + 1.0))
+
+
+def gcg_delta_region(p: PressureParams, rho_l, u_l, rho_r, u_r):
+    """Whether GCG data lie in region V, u+ + asym(rho+) <= u- - asym(rho-); elementwise."""
+    return u_r + gcg_asymptote(p, rho_r) <= u_l - gcg_asymptote(p, rho_l)
 
 
 def pressure(p: PressureParams, rho: float) -> float:

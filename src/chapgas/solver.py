@@ -1,4 +1,4 @@
-"""Self-similar Riemann solutions for the three models, and pointwise sampling.
+"""Self-similar Riemann solutions for the three models, their regions, and pointwise sampling.
 
 A solution is an ordered list of segments tiling the xi = x/t axis:
 constant states, rarefaction fans, shocks, contacts, delta shocks and vacuum
@@ -11,6 +11,11 @@ safeguarded Newton in y = log rho on the mismatch of the forward 1-curve and
 the backward 2-curve, with a relative stopping rule, so rho* is resolved
 however small it is. The core raises ``NumericalLimitError`` when the
 intersection leaves the representable density range.
+
+The phase-plane region of a datum is read from its solution (``region_of``):
+``classify_ecg`` and ``classify_gcg`` are one solve each, so a region tag
+and the solution's wave pattern agree by construction, and classification
+raises where solving does.
 """
 
 from __future__ import annotations
@@ -29,8 +34,8 @@ from .errors import (
     NumericalLimitError,
     UnsupportedModelError,
 )
-from .models import Model, PressureParams, State, eigenvalues, shock_radicand
-from .waves import WaveFamily, gcg_delta_region, gcg_entropy_window, shock_speed
+from .models import Model, PressureParams, State, eigenvalues, gcg_delta_region, shock_radicand
+from .waves import WaveFamily, gcg_entropy_window, shock_speed
 
 
 class SegmentKind(Enum):
@@ -132,8 +137,54 @@ class RiemannSolution:
         return min(los), max(his)
 
 
+def _adjacent(boundary: tuple[str, ...]) -> str:
+    """The two-wave tag next to boundary data: each wave not named there a rarefaction."""
+    return ("S1" if "S1" in boundary else "R1") + ("S2" if "S2" in boundary else "R2")
+
+
+@dataclass(frozen=True)
+class RegionECG:
+    tag: str  # R1R2 | R1S2 | S1R2 | S1S2 | OnBoundary
+    boundary: tuple[str, ...] = ()
+
+    def resolve(self) -> str:
+        """Boundary data resolved to the adjacent region with a degenerate wave."""
+        return _adjacent(self.boundary) if self.tag == "OnBoundary" else self.tag
+
+
+_GCG_REGIONS = {"R1R2": "I", "R1S2": "II", "S1R2": "III", "S1S2": "IV"}
+
+
+@dataclass(frozen=True)
+class RegionGCG:
+    tag: str  # I | II | III | IV | V | OnBoundary
+    boundary: tuple[str, ...] = ()
+
+    def resolve(self) -> str:
+        return _GCG_REGIONS[_adjacent(self.boundary)] if self.tag == "OnBoundary" else self.tag
+
+
 def _constant(state: State, lo: float, hi: float) -> WaveSegment:
     return WaveSegment(SegmentKind.CONSTANT, lo, hi, left=state, right=state)
+
+
+def _wave_kind(fam: WaveFamily, a: State, b: State, u_scale: float) -> Optional[tuple[bool, bool]]:
+    """(is_rarefaction, weak) of the classical wave from ``a`` to ``b``, or None when degenerate.
+
+    ``u_scale`` is |u_l| + |u_r| of the Riemann data. A wave whose density
+    jump is within ``DEGENERATE_RTOL`` is weak, and degenerate unless its
+    velocity jump passes ``DEGENERATE_RTOL * (1 + u_scale)``. A weak wave is
+    a rarefaction when u rises across it (the sign of its density jump is
+    rounding); any other is one when its density falls (family 1) or rises
+    (family 2). ``_wave_segment`` and ``region_of`` both take this decision.
+    """
+    weak = abs(a.rho - b.rho) <= fvcore.DEGENERATE_RTOL * max(a.rho, b.rho)
+    if not weak:
+        return (b.rho < a.rho if fam is WaveFamily.ONE else b.rho > a.rho), False
+    # Mixed absolute and relative, like the density test but with a floor of 1.
+    if abs(a.u - b.u) <= fvcore.DEGENERATE_RTOL * (1.0 + u_scale):
+        return None
+    return b.u > a.u, True
 
 
 def _wave_segment(
@@ -141,25 +192,18 @@ def _wave_segment(
 ) -> Optional[WaveSegment]:
     """One classical wave from ``a`` (left) to ``b`` (right), or None when degenerate.
 
-    ``u_scale`` is |u_l| + |u_r| of the Riemann data. A wave whose density
-    jump is within ``DEGENERATE_RTOL`` is degenerate unless its velocity
-    jump passes ``DEGENERATE_RTOL * (1 + u_scale)``. Near vacuum the sound
-    speed is so large (2e149 at rho = 1e-200 for A = B = 0.1, n = 2,
-    alpha = 0.5) that a unit velocity jump moves rho by far less than rho*
-    resolves; such a weak wave stays, with zero width at the mean of its end
-    speeds, and is a rarefaction when u rises across it (the sign of its
-    density jump is rounding). A fan whose edge speeds are out of order by
-    rounding (``fvcore.fan_inverted``) takes zero width the same way.
+    The wave is typed by ``_wave_kind``. Near vacuum the sound speed is so
+    large (2e149 at rho = 1e-200 for A = B = 0.1, n = 2, alpha = 0.5) that a
+    unit velocity jump moves rho by far less than rho* resolves; such a weak
+    wave stays, with zero width at the mean of its end speeds. A fan whose
+    edge speeds are out of order by rounding (``fvcore.fan_inverted``) takes
+    zero width the same way.
     """
+    typed = _wave_kind(fam, a, b, u_scale)
+    if typed is None:
+        return None
+    is_rarefaction, weak = typed
     idx = 0 if fam is WaveFamily.ONE else 1
-    weak = abs(a.rho - b.rho) <= fvcore.DEGENERATE_RTOL * max(a.rho, b.rho)
-    if weak:
-        # Mixed absolute and relative, like the density test but with a floor of 1.
-        if abs(a.u - b.u) <= fvcore.DEGENERATE_RTOL * (1.0 + u_scale):
-            return None
-        is_rarefaction = b.u > a.u
-    else:
-        is_rarefaction = b.rho < a.rho if fam is WaveFamily.ONE else b.rho > a.rho
     contact_like = p.model is Model.GCG and p.alpha == 1.0
     if is_rarefaction or weak:
         lo, hi = eigenvalues(p, a)[idx], eigenvalues(p, b)[idx]
@@ -247,7 +291,7 @@ def solve_gcg(p: PressureParams, left: State, right: State) -> RiemannSolution:
         raise DomainError("Riemann data must have positive densities")
     if left == right:
         return RiemannSolution(p, left, right, (_constant(left, -math.inf, math.inf),))
-    if gcg_delta_region(p, left, right):
+    if gcg_delta_region(p, left.rho, left.u, right.rho, right.u):
         d = _gcg_delta(p, left, right)
         segs = (
             _constant(left, -math.inf, d.sigma),
@@ -301,6 +345,50 @@ def solve(p: PressureParams, left: State, right: State) -> RiemannSolution:
     if p.model is Model.GCG:
         return solve_gcg(p, left, right)
     return solve_transport(left, right)
+
+
+def region_of(sol: RiemannSolution):
+    """The phase-plane region of an ECG or GCG solution, as a RegionECG or RegionGCG.
+
+    Each wave is typed from the data and rho* by ``_wave_kind``, the rule
+    ``solve`` typed it by, so GCG alpha = 1 contacts keep their I-IV tags.
+    A wave that ``solve`` dropped puts the datum ``OnBoundary``, with
+    ``boundary`` naming the wave kept; with no wave at all (equal data, or
+    both waves dropped) the datum sits where all curves meet, on R1 and S2.
+    A delta shock is GCG region V.
+    """
+    p, left, mid, right = sol.params, sol.left, sol.intermediate, sol.right
+    if p.model is Model.TRANSPORT:
+        raise UnsupportedModelError("transport data have no classical region")
+    if mid is None and sol.delta is not None:
+        return RegionGCG("V")
+    waves = []  # the names of the waves kept
+    if mid is not None:
+        u_scale = abs(left.u) + abs(right.u)
+        for fam, a, b in ((WaveFamily.ONE, left, mid), (WaveFamily.TWO, mid, right)):
+            typed = _wave_kind(fam, a, b, u_scale)
+            if typed is not None:
+                waves.append("%s%d" % ("R" if typed[0] else "S", fam.value))
+    region = RegionGCG if p.model is Model.GCG else RegionECG
+    if len(waves) < 2:
+        return region("OnBoundary", tuple(waves) or ("R1", "S2"))
+    tag = waves[0] + waves[1]
+    return region(_GCG_REGIONS[tag] if region is RegionGCG else tag)
+
+
+def classify_ecg(p: PressureParams, left: State, right: State) -> RegionECG:
+    """Which two-wave pattern the Riemann datum produces (or OnBoundary): one solve."""
+    return region_of(solve_ecg(p, left, right))
+
+
+def classify_gcg(p: PressureParams, left: State, right: State) -> RegionGCG:
+    """Five-region classification for the GCG model: one solve.
+
+    Region V is the shock-asymptote criterion ``models.gcg_delta_region``, in
+    sqrt(B); the delta-shock entropy window, in sqrt(alpha*B), is
+    ``waves.gcg_entropy_window``.
+    """
+    return region_of(solve_gcg(p, left, right))
 
 
 def _fan_states(p: PressureParams, seg: WaveSegment, xi: np.ndarray):

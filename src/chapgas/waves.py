@@ -1,71 +1,34 @@
-"""Wave curves through a phase-plane point, shock speeds and region classification.
+"""Wave curves through a phase-plane point, shock speeds and jump checks.
 
 For a given left state the forward 1-curve (rarefaction branch below the base
 density, shock branch above) and the forward 2-curve (shock below, rarefaction
 above) split the upper half plane into the four classical regions; the GCG
 model adds a fifth, delta-shock region beyond the asymptote locus of the
-backward shock curve.
+backward shock curve. ``solver.classify_ecg`` and ``solver.classify_gcg``
+read the region from the solution ``solver.solve`` returns.
 
-The rarefaction integral is a scalar call into ``fvcore.velocity_jump``: exact
-solves, classification, sweeps and the finite-volume core share one rule.
-The pressure law and the relations built on it come from ``models``.
+The curves are the finite-volume core's arithmetic: ``curve_one_u`` and
+``curve_two_u`` are one ``fvcore._curve_distance`` call each, on a float or
+an array of densities, so exact solves, sweeps, plots and the Godunov flux
+share one rarefaction integral and one shock jump. The pressure law and the
+relations built on it come from ``models``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from . import fvcore
 from .errors import DegenerateError, DomainError, NumericalLimitError, UnsupportedModelError
-from .models import Model, PressureParams, State, eigenvalues, gcg_asymptote, pressure
-from .models import shock_radicand
-
-# Rounding slack for the shock-curve radicand near the base point.
-_RADICAND_SLACK = -1e-14
-# |u - curve| below this counts as sitting on the curve.
-BOUNDARY_TOL = 1e-12
+from .models import Model, PressureParams, State, eigenvalues, gcg_asymptote, pressure, pressure_law
 
 
 class WaveFamily(Enum):
     ONE = 1
     TWO = 2
-
-
-@dataclass(frozen=True)
-class RegionECG:
-    tag: str  # R1R2 | R1S2 | S1R2 | S1S2 | OnBoundary
-    boundary: tuple[str, ...] = field(default=())
-
-    def resolve(self) -> str:
-        """Boundary data resolved to the adjacent region with a degenerate wave."""
-        if self.tag != "OnBoundary":
-            return self.tag
-        one = "S1" if "S1" in self.boundary else "R1"
-        two = "S2" if "S2" in self.boundary else "R2"
-        return one + two
-
-
-@dataclass(frozen=True)
-class RegionGCG:
-    tag: str  # I | II | III | IV | V | OnBoundary
-    boundary: tuple[str, ...] = field(default=())
-
-    def resolve(self) -> str:
-        if self.tag != "OnBoundary":
-            return self.tag
-        one_r = "S1" not in self.boundary
-        two_r = "S2" not in self.boundary
-        if one_r and two_r:
-            return "I"
-        if one_r:
-            return "II"
-        if two_r:
-            return "III"
-        return "IV"
 
 
 def velocity_jump_integral(p: PressureParams, rho_lo: float, rho_hi: float) -> float:
@@ -84,36 +47,53 @@ def velocity_jump_integral(p: PressureParams, rho_lo: float, rho_hi: float) -> f
     return jump
 
 
-def rarefaction_u(
-    p: PressureParams, fam: WaveFamily, from_state: State, rho: float
-) -> float:
+def _forward_curve(p: PressureParams, left: State, rho, fam: WaveFamily):
+    """u on the forward curve of family ``fam`` through ``left``: u- - phi.
+
+    phi is one ``fvcore._curve_distance`` call. The 1-curve takes it from
+    rho- to rho. The 2-wave from ``left`` to (rho, u) lies on the backward
+    2-curve through (rho, u), so the 2-curve takes it from rho to rho-.
+    ``rho`` is a float or an array, and the result takes its shape; a value
+    that is not finite raises NumericalLimitError.
+    """
+    if p.model is Model.TRANSPORT:
+        raise UnsupportedModelError("transport has no classical wave curves")
+    rhos = np.asarray(rho, dtype=float).ravel()
+    if not np.all(rhos > 0.0):
+        raise DomainError(f"density must be positive, got {rho!r}")
+    lefts = np.full(rhos.shape, left.rho)
+    ra, rb = (lefts, rhos) if fam is WaveFamily.ONE else (rhos, lefts)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        base = np.stack([ra, np.log(ra), pressure_law(p.A, p.B, p.n, p.alpha, ra)])[:, None]
+        phi, _ = fvcore._curve_distance(p, base, np.log(rb))
+        u = left.u - phi[0]
+    if not np.all(np.isfinite(u)):
+        raise NumericalLimitError(f"wave curve beyond the float range at rho = {rho!r}")
+    return u.reshape(np.shape(rho)) if np.ndim(rho) else float(u[0])
+
+
+def curve_one_u(p: PressureParams, left: State, rho):
+    """Forward 1-curve through ``left``: rarefaction for rho < rho-, shock above."""
+    return _forward_curve(p, left, rho, WaveFamily.ONE)
+
+
+def curve_two_u(p: PressureParams, left: State, rho):
+    """Forward 2-curve through ``left``: shock for rho < rho-, rarefaction above."""
+    return _forward_curve(p, left, rho, WaveFamily.TWO)
+
+
+def rarefaction_u(p: PressureParams, fam: WaveFamily, from_state: State, rho: float) -> float:
     """Velocity on the rarefaction curve of the given family through ``from_state``.
 
     Family ONE lives on rho <= base density, family TWO on rho >= base density
     (the wave is traversed with ``from_state`` on its left).
     """
-    if p.model is Model.TRANSPORT:
-        raise UnsupportedModelError("transport has no rarefaction curves")
-    if not (rho > 0.0):
-        raise DomainError(f"density must be positive, got {rho!r}")
     base = from_state.rho
-    if fam is WaveFamily.ONE:
-        if rho > base:
-            raise DomainError(f"1-curve needs rho <= {base!r}, got {rho!r}")
-        return from_state.u + velocity_jump_integral(p, rho, base)
-    if rho < base:
+    if fam is WaveFamily.ONE and rho > base:
+        raise DomainError(f"1-curve needs rho <= {base!r}, got {rho!r}")
+    if fam is WaveFamily.TWO and rho < base:
         raise DomainError(f"2-curve needs rho >= {base!r}, got {rho!r}")
-    return from_state.u + velocity_jump_integral(p, base, rho)
-
-
-def _sqrt_radicand(p: PressureParams, rho_a: float, rho_b: float) -> float:
-    try:
-        rad = shock_radicand(p, rho_a, rho_b)
-    except (OverflowError, ZeroDivisionError):  # densities near the ends of the float range
-        rad = math.nan
-    if not _RADICAND_SLACK < rad < math.inf:
-        raise NumericalLimitError(f"shock radicand {rad!r} out of range at {rho_a!r}, {rho_b!r}")
-    return math.sqrt(max(rad, 0.0))
+    return _forward_curve(p, from_state, rho, fam)
 
 
 def shock_u(p: PressureParams, fam: WaveFamily, from_state: State, rho: float) -> float:
@@ -122,16 +102,12 @@ def shock_u(p: PressureParams, fam: WaveFamily, from_state: State, rho: float) -
     Family ONE lives on rho > base density, family TWO on rho < base density;
     both branches carry u below the base velocity.
     """
-    if p.model is Model.TRANSPORT:
-        raise UnsupportedModelError("transport has no classical shock curves")
-    if not (rho > 0.0):
-        raise DomainError(f"density must be positive, got {rho!r}")
     base = from_state.rho
     if fam is WaveFamily.ONE and not (rho > base):
         raise DomainError(f"1-shock needs rho > {base!r}, got {rho!r}")
     if fam is WaveFamily.TWO and not (rho < base):
         raise DomainError(f"2-shock needs rho < {base!r}, got {rho!r}")
-    return from_state.u - _sqrt_radicand(p, base, rho)
+    return _forward_curve(p, from_state, rho, fam)
 
 
 def shock_speed(p: PressureParams, left: State, right: State) -> float:
@@ -169,61 +145,6 @@ def lax_check(
     return l1 < sigma < l2 and r2 < sigma
 
 
-def curve_one_u(p: PressureParams, left: State, rho: float) -> float:
-    """Forward 1-curve through ``left``: rarefaction for rho < rho-, shock above."""
-    if rho < left.rho:
-        return rarefaction_u(p, WaveFamily.ONE, left, rho)
-    if rho > left.rho:
-        return shock_u(p, WaveFamily.ONE, left, rho)
-    return left.u
-
-
-def curve_two_u(p: PressureParams, left: State, rho: float) -> float:
-    """Forward 2-curve through ``left``: shock for rho < rho-, rarefaction above."""
-    if rho < left.rho:
-        return shock_u(p, WaveFamily.TWO, left, rho)
-    if rho > left.rho:
-        return rarefaction_u(p, WaveFamily.TWO, left, rho)
-    return left.u
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _classify_by_curves(
-    p: PressureParams, left: State, right: State
-) -> tuple[str, tuple[str, ...]]:
-    w1 = curve_one_u(p, left, right.rho)
-    w2 = curve_two_u(p, left, right.rho)
-    d1 = right.u - w1
-    d2 = right.u - w2
-    boundary = []
-    if abs(d1) <= BOUNDARY_TOL:
-        boundary.append("R1" if right.rho <= left.rho else "S1")
-    if abs(d2) <= BOUNDARY_TOL:
-        boundary.append("S2" if right.rho <= left.rho else "R2")
-    if boundary:
-        return "OnBoundary", tuple(boundary)
-    if d1 > 0.0 and d2 > 0.0:
-        return "R1R2", ()
-    if d1 < 0.0 and d2 < 0.0:
-        return "S1S2", ()
-    if d1 > 0.0:  # above the 1-curve, below the 2-curve: only for rho+ > rho-
-        return "S1R2", ()
-    return "R1S2", ()
-
-
-def classify_ecg(p: PressureParams, left: State, right: State) -> RegionECG:
-    """Which two-wave pattern the Riemann datum produces (or OnBoundary)."""
-    if p.model is not Model.ECG:
-        raise UnsupportedModelError("classify_ecg requires the ECG tag")
-    tag, boundary = _classify_by_curves(p, left, right)
-    return RegionECG(tag, boundary)
-
-
-def gcg_delta_region(p: PressureParams, left: State, right: State) -> bool:
-    """Whether the datum lies in the delta-shock region (asymptote criterion)."""
-    return right.u + gcg_asymptote(p, right.rho) <= left.u - gcg_asymptote(p, left.rho)
-
-
 def gcg_entropy_window(
     p: PressureParams, left: State, right: State
 ) -> tuple[float, float]:
@@ -235,21 +156,3 @@ def gcg_entropy_window(
     """
     c_left, c_right = (math.sqrt(p.alpha) * gcg_asymptote(p, s.rho) for s in (left, right))
     return right.u + c_right, left.u - c_left
-
-
-def classify_gcg(p: PressureParams, left: State, right: State) -> RegionGCG:
-    """Five-region classification for the GCG model.
-
-    Region V is decided by the shock-asymptote criterion, which uses sqrt(B);
-    the delta-shock entropy window uses sqrt(alpha*B) and is reported
-    separately by ``gcg_entropy_window``.
-    """
-    if p.model is not Model.GCG:
-        raise UnsupportedModelError("classify_gcg requires the GCG tag")
-    if gcg_delta_region(p, left, right):
-        return RegionGCG("V")
-    tag, boundary = _classify_by_curves(p, left, right)
-    mapping = {"R1R2": "I", "R1S2": "II", "S1R2": "III", "S1S2": "IV"}
-    if tag == "OnBoundary":
-        return RegionGCG("OnBoundary", boundary)
-    return RegionGCG(mapping[tag])

@@ -3,13 +3,15 @@
 Globally adaptive Gauss-Kronrod quadrature, the closed-form rarefaction
 integrals of the two one-term pressure laws, the quadratic the GCG
 delta-shock speed satisfies, ``fvcore.velocity_jump`` written as one
-Python iteration per panel, the intermediate state of a two-wave
-solution by bisection in rho on the wave-curve mismatch, an independent
-check of the core's Newton, and that Newton's one-element loop with the
-stopping rule it had before trusted steps settled it. The adaptive
-quadrature keeps its own copy of the Kronrod-15 nodes and weights, so it
-checks ``fvcore``'s table instead of sharing it; the panel loop shares the
-table, because it checks the order of the arithmetic and not the rule.
+Python iteration per panel, the wave curves in scalar floats on
+``models.shock_radicand`` (not the core's shock arithmetic, which
+``waves`` uses), the intermediate state of a two-wave solution by
+bisection in rho on the wave-curve mismatch, an independent check of the
+core's Newton, and that Newton's one-element loop with the stopping rule
+it had before trusted steps settled it. The adaptive quadrature keeps its
+own copy of the Kronrod-15 nodes and weights, so it checks ``fvcore``'s
+table instead of sharing it; the panel loop shares the table, because it
+checks the order of the arithmetic and not the rule.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from chapgas import ChapgasError, DomainError, NumericalLimitError, PressureParams, State, fvcore
 from chapgas.models import shock_radicand
-from chapgas.waves import curve_one_u, velocity_jump_integral
+from chapgas.waves import velocity_jump_integral
 
 _EPS = 2.220446049250313e-16
 
@@ -292,6 +294,29 @@ def expand_bracket(
         a, fa = b, fb
 
 
+def _shock_jump(p: PressureParams, rho_a: float, rho_b: float) -> float:
+    """|u_b - u_a| across a shock between the two densities, from ``models.shock_radicand``."""
+    return math.sqrt(max(shock_radicand(p, rho_a, rho_b), 0.0))
+
+
+def curve_one_u(p: PressureParams, left: State, rho: float) -> float:
+    """Forward 1-curve through ``left`` in scalar floats: rarefaction for rho < rho-, shock above."""
+    if rho < left.rho:
+        return left.u + velocity_jump_integral(p, rho, left.rho)
+    if rho > left.rho:
+        return left.u - _shock_jump(p, left.rho, rho)
+    return left.u
+
+
+def curve_two_u(p: PressureParams, left: State, rho: float) -> float:
+    """Forward 2-curve through ``left`` in scalar floats: shock for rho < rho-, rarefaction above."""
+    if rho < left.rho:
+        return left.u - _shock_jump(p, left.rho, rho)
+    if rho > left.rho:
+        return left.u + velocity_jump_integral(p, left.rho, rho)
+    return left.u
+
+
 def curve_two_u_backward(p: PressureParams, right: State, rho: float) -> float:
     """Velocity u such that a 2-wave connects (rho, u) on the left to ``right``."""
     if not (rho > 0.0):
@@ -299,7 +324,7 @@ def curve_two_u_backward(p: PressureParams, right: State, rho: float) -> float:
     if rho < right.rho:
         return right.u - velocity_jump_integral(p, rho, right.rho)
     if rho > right.rho:
-        return right.u + math.sqrt(max(shock_radicand(p, rho, right.rho), 0.0))
+        return right.u + _shock_jump(p, rho, right.rho)
     return right.u
 
 

@@ -24,6 +24,7 @@ from chapgas.cli import (
     solution_to_dict,
 )
 from chapgas.waves import rh_residuals
+from oracles import curve_one_u, curve_two_u
 
 
 def _write(tmp_path, name, doc):
@@ -297,23 +298,34 @@ def test_missing_subcommand_exits_2():
     assert main([]) == EXIT_INPUT
 
 
-def test_negative_shock_radicand_exits_3_without_traceback(tmp_path, capsys, monkeypatch):
-    # classify walks the scalar wave curves, which take their shock branch
-    # from waves.shock_radicand (solve takes rho* from the core instead).
-    monkeypatch.setattr("chapgas.waves.shock_radicand", lambda p, a, b: -1.0)
-    path = _write(
-        tmp_path,
-        "prob.json",
-        {
-            "model": {"tag": "ecg", "A": 0.1, "B": 0.1, "n": 2.0, "alpha": 0.5},
-            "left": {"rho": 1.0, "u": 1.0},
-            "right": {"rho": 0.5, "u": -1.0},
-        },
-    )
-    assert main(["classify", "--file", path, "--out", str(tmp_path)]) == EXIT_NUMERICAL
+@pytest.mark.parametrize("command", ["classify", "solve", "plot"])
+def test_gcg_shock_radicand_overflow_exits_3_without_traceback(tmp_path, capsys, command):
+    # GCG B = alpha = 1 at rho = 1e-160: rho^-alpha is finite, but the shock
+    # radicand overflows; classify solves the datum, so it exits 3 as solve does.
+    args = [command, "--model", "gcg", "--B", "1", "--alpha", "1"]
+    args += ["--left", "1e-160,1", "--right", "1e-160,-1", "--out", str(tmp_path)]
+    assert main(args) == EXIT_NUMERICAL
     err = capsys.readouterr().err
     assert err.startswith("numerical error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "params", [PressureParams.ecg(0.1, 0.1, 2.0, 0.5), PressureParams.gcg(0.3, 0.5)], ids=["ecg", "gcg"]
+)
+def test_phase_plot_curves_match_the_scalar_curves(params):
+    # phase.svg draws these series; the oracle curves are scalar floats on
+    # models.shock_radicand, so the shock branches may differ in the last bits.
+    left = State(2.0, 0.5)
+    series = cli._phase_series(cli.Problem(params, left, State(1.0, -1.0)))
+    curves = {"R1": curve_one_u, "S1": curve_one_u, "S2": curve_two_u, "R2": curve_two_u}
+    drawn = [s for s in series if s.label in curves]
+    assert [s.label for s in drawn] == ["R1", "S1", "S2", "R2"]
+    for s in drawn:
+        assert len(s.xs) == len(s.ys) == 160
+        for u, rho in zip(s.xs, s.ys):
+            want = curves[s.label](params, left, rho)
+            assert abs(u - want) <= 1e-13 * max(1.0, abs(want))
 
 
 def test_fv_refine_solves_the_datum_once(tmp_path, monkeypatch):

@@ -6,11 +6,27 @@ import numpy as np
 import pytest
 
 import chapgas
-from chapgas import NumericalLimitError, PressureParams, SegmentKind, State, fvcore, sample, solve
+from chapgas import (
+    NumericalLimitError,
+    PressureParams,
+    SegmentKind,
+    State,
+    classify_gcg,
+    fvcore,
+    sample,
+    solve,
+)
 from chapgas.models import gcg_asymptote, pressure
 from chapgas.solver import sample_arrays
-from chapgas.waves import classify_gcg, curve_one_u, curve_two_u, velocity_jump_integral
-from oracles import bisection_star_state, integrate, newton_one_to_tol_y, panel_loop_velocity_jump
+from chapgas.waves import velocity_jump_integral
+from oracles import (
+    bisection_star_state,
+    curve_one_u,
+    curve_two_u,
+    integrate,
+    newton_one_to_tol_y,
+    panel_loop_velocity_jump,
+)
 
 
 def _arrays(*values):

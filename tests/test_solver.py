@@ -9,11 +9,14 @@ from hypothesis import strategies as st
 
 from chapgas import (
     DomainError,
+    Model,
     NoDeltaShockError,
     PressureParams,
     SegmentKind,
     State,
     WaveFamily,
+    classify_ecg,
+    classify_gcg,
     delta_weight_at,
     eigenvalues,
     fvcore,
@@ -25,7 +28,8 @@ from chapgas import (
     solve_gcg,
     solve_transport,
 )
-from chapgas.waves import curve_one_u, rh_residuals, shock_u
+from chapgas.waves import rh_residuals
+from oracles import curve_one_u, curve_two_u
 
 # Intermediate densities frozen from independent brute-force oracles
 # (bisection on the jump relations; 2e6-panel midpoint quadrature).
@@ -95,8 +99,6 @@ def test_gcg_delta_generalized_jump_conditions():
         p = PressureParams.gcg(B, alpha)
         left = State(rng.uniform(0.3, 3.0), rng.uniform(0.5, 2.0))
         right = State(rng.uniform(0.3, 3.0), -left.u)
-        from chapgas.waves import classify_gcg
-
         if classify_gcg(p, left, right).tag != "V":
             continue
         d = solve_gcg(p, left, right).delta
@@ -114,8 +116,6 @@ def test_gcg_delta_generalized_jump_conditions():
 
 
 def test_gcg_delta_exactly_in_classified_region_v():
-    from chapgas.waves import classify_gcg
-
     rng = np.random.default_rng(47)
     for _ in range(200):
         p = PressureParams.gcg(rng.uniform(1e-3, 1.0), rng.uniform(0.05, 1.0))
@@ -298,8 +298,8 @@ def test_two_shock_intermediate_satisfies_both_jump_relations():
             continue
         count += 1
         mid = sol.intermediate
-        u_from_s1 = shock_u(p, WaveFamily.ONE, left, mid.rho)
-        u_from_s2 = shock_u(p, WaveFamily.TWO, State(mid.rho, mid.u), right.rho)
+        u_from_s1 = curve_one_u(p, left, mid.rho)
+        u_from_s2 = curve_two_u(p, State(mid.rho, mid.u), right.rho)
         assert mid.u == pytest.approx(u_from_s1, abs=1e-9)
         assert right.u == pytest.approx(u_from_s2, abs=1e-9)
 
@@ -400,6 +400,44 @@ def test_solve_next_to_the_one_curve_near_alpha_one(data):
     sol = solve(p, left, right)
     bounds = [xi for seg in sol.segments for xi in (seg.xi_lo, seg.xi_hi)]
     assert bounds == sorted(bounds)
+
+
+@st.composite
+def _on_or_next_to_a_curve(draw):
+    """Acceptance-box data with the right state moved onto a forward curve of
+    the left one (1 or 2), or 1e-14 to 1e-9 off it."""
+    p, left, right = draw(_acceptance_box_data())
+    curve = draw(st.sampled_from([curve_one_u, curve_two_u]))
+    gap = draw(st.just(0.0) | _log_uniform(1e-14, 1e-9)) * draw(st.sampled_from([-1.0, 1.0]))
+    return p, left, State(right.rho, curve(p, left, right.rho) + gap)
+
+
+_GCG_PATTERNS = {"I": "R1R2", "II": "R1S2", "III": "S1R2", "IV": "S1S2"}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_acceptance_box_data() | _on_or_next_to_a_curve())
+def test_classify_tag_is_the_region_of_the_solution(data):
+    p, left, right = data
+    sol = solve(p, left, right)
+    region = (classify_ecg if p.model is Model.ECG else classify_gcg)(p, left, right)
+    if sol.delta is not None:
+        assert region.tag == "V"
+        return
+    waves = [] if sol.pattern() == "constant" else sol.pattern().split("+")
+    # OnBoundary exactly when solve() dropped a wave; it names the wave kept.
+    assert (region.tag == "OnBoundary") == (len(waves) < 2)
+    if not waves:  # equal data, or both waves dropped: where all curves meet
+        assert region.boundary == ("R1", "S2")
+        return
+    if region.tag == "OnBoundary":
+        names = list(region.boundary)
+    else:
+        tag = _GCG_PATTERNS.get(region.tag, region.tag)
+        names = [tag[:2], tag[2:]]
+    assert len(names) == len(waves)
+    for name, wave in zip(names, waves):
+        assert wave in (name, "J" + name[1])  # a GCG alpha = 1 wave is a contact
 
 
 def test_weak_waves_within_both_tolerances_are_dropped():

@@ -299,7 +299,15 @@ def test_curve_one_u_branches():
     assert curve_one_u(p, left, 2.0) < 0.0
 
 
-def test_negative_shock_radicand_raises_numerical_limit_error(monkeypatch):
-    monkeypatch.setattr("chapgas.waves.shock_radicand", lambda p, a, b: -1.0)
+@pytest.mark.parametrize(
+    "fam, base, rho",
+    [
+        (WaveFamily.ONE, 1e-300, 1.0),  # the shock radicand overflows
+        (WaveFamily.ONE, 1.0, 1e250),  # rho**n overflows
+        (WaveFamily.TWO, 1.0, 1e-300),
+    ],
+    ids=["S1-from-1e-300", "S1-to-1e250", "S2-to-1e-300"],
+)
+def test_shock_curve_beyond_the_float_range_raises_numerical_limit_error(fam, base, rho):
     with pytest.raises(NumericalLimitError):
-        shock_u(_p_ecg(), WaveFamily.ONE, State(1.0, 0.0), 2.0)
+        shock_u(_p_ecg(), fam, State(base, 0.0), rho)
