@@ -275,7 +275,9 @@ def segment_from_dict(d: dict) -> WaveSegment:
 
 
 def region_label(sol: RiemannSolution) -> str:
-    """The solution's region, resolved off the boundary; for transport, its wave."""
+    """The solution's region, resolved off the boundary; for transport, its wave; without waves, constant."""
+    if len(sol.segments) == 1:
+        return "constant"
     if sol.params.model is not Model.TRANSPORT:
         return region_of(sol).resolve()
     if sol.left.u < sol.right.u:

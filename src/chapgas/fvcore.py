@@ -35,6 +35,10 @@ Model dispatch follows the ``PressureParams`` tag: transport has no pressure,
 GCG (A = 0) uses the closed-form rarefaction integral and fan inversion, ECG
 integrates it with Kronrod-15 panels no wider than one octave in density.
 ``pressure``, ``cs2`` and the GCG delta-region test come from ``models``.
+
+``wave_fronts`` is the one wave rule: which waves a classical solution
+has, of which kind, and their edge speeds. ``solver.solve`` builds its
+segments from it, and ``sample_classical`` samples the Godunov flux by it.
 """
 
 from __future__ import annotations
@@ -150,7 +154,7 @@ def velocity_jump(p: PressureParams, ya, yb):
 
 
 def _where(mask, a, b):
-    """``np.where``; a plain choice on numpy scalars, where np.where costs microseconds.
+    """``np.where``; a plain choice on scalars, where np.where costs microseconds.
 
     An array mask that selects nothing returns ``b`` itself, uncopied.
     """
@@ -160,8 +164,13 @@ def _where(mask, a, b):
 
 
 def _any(mask):
-    """Whether any element holds: ``np.count_nonzero`` on arrays, the plain truth on numpy scalars."""
+    """Whether any element holds: ``np.count_nonzero`` on arrays, the plain truth on scalars."""
     return np.count_nonzero(mask) if isinstance(mask, np.ndarray) else mask
+
+
+def _all(mask):
+    """Whether every element holds: ``np.count_nonzero`` on arrays, the plain truth on scalars."""
+    return np.count_nonzero(mask) == mask.size if isinstance(mask, np.ndarray) else mask
 
 
 def _clip(x, lo, hi):
@@ -190,6 +199,53 @@ def fan_inverted(lo, hi, u_scale):
     if _any(out):
         out = out & (lo - hi <= _ORDER_RTOL * (np.maximum(abs(lo), abs(hi)) + u_scale))
     return out
+
+
+def wave_fronts(p: PressureParams, rl, ul, rr, ur, rs, us, cl, cr, cs):
+    """Which waves classical solutions through (rs, us) have, elementwise: the one wave rule.
+
+    The 1-wave runs from (rl, ul) to (rs, us), the 2-wave from (rs, us) to
+    (rr, ur); ``cl``, ``cs``, ``cr`` are the caller's sound speeds there.
+    Each wave is (kept, rarefaction, lo, hi). A wave whose density jump is
+    within ``DEGENERATE_RTOL`` is weak: dropped unless its velocity jump
+    passes ``DEGENERATE_RTOL * (1 + |ul| + |ur|)``, a rarefaction when u
+    rises across it, and kept with zero width at the mean of its end
+    characteristic speeds (near vacuum, where c reaches 1e149, a unit
+    velocity jump moves rho by less than rho* resolves). So is a fan whose
+    edge speeds are out of order by rounding (``fan_inverted``), and a GCG
+    alpha = 1 fan, a contact. Other waves are rarefactions when their
+    density falls (family 1) or rises (family 2), and shocks otherwise.
+    Python floats stay Python floats (``solver.solve``); on arrays (the
+    Godunov flux) the rare cases cost array operations only when present.
+    """
+    contact = p.model is Model.GCG and p.alpha == 1.0
+    return (
+        _front(rl, ul, rs, us, rs < rl, ul - cl, us - cs, ul, ur, contact),
+        _front(rs, us, rr, ur, rr > rs, us + cs, ur + cr, ul, ur, contact),
+    )
+
+
+def _front(ra, ua, rb, ub, rare, fan_lo, fan_hi, ul, ur, contact):
+    """One wave of ``wave_fronts``: from (ra, ua) to (rb, ub), a fan from ``fan_lo`` to ``fan_hi`` if ``rare``."""
+    pick, biggest = (_where, max) if isinstance(rb, float) else (np.where, np.maximum)
+    d = rb - ra
+    size, tol = abs(d), DEGENERATE_RTOL * biggest(ra, rb)
+    kept, weak = size > tol, size <= tol
+    # A weak wave's density jump may be 0: it divides by 1, and its speeds are replaced below.
+    lo = pick(rare, fan_lo, (rb * ub - ra * ua) / pick(weak, 1.0, d))
+    hi = pick(rare, fan_hi, lo)
+    # Only a fan's edge speeds can be out of order: a shock's are equal.
+    if contact or _any(weak) or _any(lo > hi):
+        u_scale = abs(ul) + abs(ur)
+        flat = weak | fan_inverted(lo, hi, u_scale)
+        if contact:
+            flat = flat | rare
+        # Mixed absolute and relative, like the density test but with a floor of 1.
+        kept = kept | (abs(ub - ua) > DEGENERATE_RTOL * (1.0 + u_scale))
+        rare = pick(weak, ub > ua, rare)
+        mid = 0.5 * (fan_lo + fan_hi)
+        lo, hi = pick(flat, mid, lo), pick(flat, mid, hi)
+    return kept, rare, lo, hi
 
 
 def _newton_step(h, dh, noise, y, lo, hi, capped=True):
@@ -221,23 +277,26 @@ def _newton_step(h, dh, noise, y, lo, hi, capped=True):
     lo, hi = _where(below, y, lo), _where(below, hi, y)
     # A derivative that is 0 or not finite gives no step size (-h/inf would
     # read as converged): take a capped step toward the root instead.
-    no_slope = ~((dh > 0.0) & (dh < math.inf))
+    sloped = (dh > 0.0) & (dh < math.inf)
     toward = -h
-    if _any(no_slope):
-        step = _where(no_slope, np.copysign(_MAX_STEP_Y, toward), toward) / _where(no_slope, 1.0, dh)
-    else:
+    if _all(sloped):
         step = toward / dh
+    else:
+        step = _where(sloped, toward, np.copysign(_MAX_STEP_Y, toward)) / _where(sloped, dh, 1.0)
     yn = y + (_clip(step, -_MAX_STEP_Y, _MAX_STEP_Y) if capped else step)
     # A step out of the bracket bisects it, unless the step is within the
     # tolerance: then y already sits at a bracket end, next to the root.
     # (While one side is open, only such a step can leave the bracket.)
-    leaves = ~((yn > lo) & (yn < hi)) & (abs(yn - y) > _TOL_Y)
-    yn = _where(leaves, 0.5 * (lo + hi), yn)
+    # Written without ``~``, which on a numpy bool scalar costs several comparisons.
+    stays = ((yn > lo) & (yn < hi)) | (abs(yn - y) <= _TOL_Y)
+    tol = _TOL_STEP
+    if not _all(stays):
+        yn, tol = _where(stays, yn, 0.5 * (lo + hi)), _where(stays, _TOL_STEP, _TOL_Y)
     yn = _where(abs(h) <= noise, y, yn)
     # Capped and no-slope steps move y by _MAX_STEP_Y, so a move within
     # _TOL_STEP that did not bisect is a trusted Newton step. (A NaN step
-    # stops, as it always has: fun raises on what it cannot evaluate.)
-    return lo, hi, yn, abs(yn - y) > _where(leaves, _TOL_Y, _TOL_STEP)
+    # bisects the bracket.)
+    return lo, hi, yn, abs(yn - y) > tol
 
 
 _NOT_SETTLED = f"Newton iteration did not settle in {_MAX_ITERATIONS} steps"
@@ -577,44 +636,18 @@ def _gcg_fan_state(p: PressureParams, sign, ra, ua, rb, xi):
 def sample_classical(p: PressureParams, rl, ul, rr, ur, rs, us, xi):
     """State at xi of classical two-wave solutions through (rs, us), elementwise.
 
-    Waves are typed as ``solver._wave_segment`` types them. A weak wave,
-    whose density jump is within ``DEGENERATE_RTOL``, is skipped when its
-    velocity jump is within ``DEGENERATE_RTOL * (1 + |ul| + |ur|)`` too, and
-    otherwise kept with zero width at the mean of its end speeds, as is a
-    fan whose edge speeds are out of order by rounding (``fan_inverted``).
-    Exactly at a shock speed the state on its left is returned, as
-    ``solver.sample`` does.
+    The waves are ``wave_fronts``'s, as in ``solver.solve``. Exactly at a
+    shock speed the state on its left is returned, as ``solver.sample``
+    does.
     """
-    A, B, n, alpha = p.A, p.B, p.n, p.alpha
     xi = np.broadcast_to(np.asarray(xi, dtype=float), np.shape(rl))
-    cl, cr, cs = (np.sqrt(cs2(A, B, n, alpha, r)) for r in (rl, rr, rs))
-    have1 = np.abs(rs - rl) > DEGENERATE_RTOL * np.maximum(rs, rl)
-    have2 = np.abs(rs - rr) > DEGENERATE_RTOL * np.maximum(rs, rr)
-    shock1, shock2 = rs > rl, rs > rr
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s1_lo = np.where(shock1, (rs * us - rl * ul) / (rs - rl), ul - cl)
-        s2_lo = np.where(shock2, (rr * ur - rs * us) / (rr - rs), us + cs)
-    s1_hi = np.where(shock1, s1_lo, us - cs)
-    s2_hi = np.where(shock2, s2_lo, ur + cr)
-    weak1, weak2 = ~have1, ~have2
-    # Only a fan's edge speeds can be out of order: a shock's are equal.
-    if np.count_nonzero(weak1 | weak2) or np.count_nonzero(s1_lo > s1_hi) or np.count_nonzero(s2_lo > s2_hi):
-        u_scale = np.abs(ul) + np.abs(ur)
-        flat1 = weak1 | fan_inverted(s1_lo, s1_hi, u_scale)
-        flat2 = weak2 | fan_inverted(s2_lo, s2_hi, u_scale)
-        du_tol = DEGENERATE_RTOL * (1.0 + u_scale)
-        have1 = have1 | (np.abs(us - ul) > du_tol)
-        have2 = have2 | (np.abs(ur - us) > du_tol)
-        # Zero width, at the mean of the end characteristic speeds.
-        mid1, mid2 = 0.5 * ((ul - cl) + (us - cs)), 0.5 * ((us + cs) + (ur + cr))
-        s1_lo, s1_hi = np.where(flat1, mid1, s1_lo), np.where(flat1, mid1, s1_hi)
-        s2_lo, s2_hi = np.where(flat2, mid2, s2_lo), np.where(flat2, mid2, s2_hi)
-
+    cl, cr, cs = (np.sqrt(cs2(p.A, p.B, p.n, p.alpha, r)) for r in (rl, rr, rs))
+    (have1, fan1, s1_lo, s1_hi), (have2, fan2, s2_lo, s2_hi) = wave_fronts(p, rl, ul, rr, ur, rs, us, cl, cr, cs)
     left = have1 & (xi <= s1_lo)
-    in_fan1 = have1 & ~shock1 & ~left & (xi <= s1_hi)
+    in_fan1 = have1 & fan1 & ~left & (xi <= s1_hi)
     past1 = ~(left | in_fan1)
     star = past1 & np.where(have2, xi <= s2_lo, have1)
-    in_fan2 = past1 & have2 & ~shock2 & ~star & (xi <= s2_hi)
+    in_fan2 = past1 & have2 & fan2 & ~star & (xi <= s2_hi)
     right = past1 & have2 & ~star & ~in_fan2
     left |= past1 & ~have1 & ~have2
     # A fan's right edge is its right state exactly.

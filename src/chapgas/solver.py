@@ -10,7 +10,9 @@ finite-volume core's ``fvcore.star_state`` on one element, its scalar pass:
 safeguarded Newton in y = log rho on the mismatch of the forward 1-curve and
 the backward 2-curve, with a relative stopping rule, so rho* is resolved
 however small it is. The core raises ``NumericalLimitError`` when the
-intersection leaves the representable density range.
+intersection leaves the representable density range. The waves kept,
+their kinds and their speeds come from ``fvcore.wave_fronts``, the rule
+the Godunov flux samples by.
 
 The phase-plane region of a datum is read from its solution (``region_of``):
 ``classify_ecg`` and ``classify_gcg`` are one solve each, so a region tag
@@ -34,8 +36,8 @@ from .errors import (
     NumericalLimitError,
     UnsupportedModelError,
 )
-from .models import Model, PressureParams, State, eigenvalues, gcg_delta_region, shock_radicand
-from .waves import WaveFamily, gcg_entropy_window, shock_speed
+from .models import Model, PressureParams, State, gcg_delta_region, shock_radicand, sound_speed_sq
+from .waves import WaveFamily, gcg_entropy_window
 
 
 class SegmentKind(Enum):
@@ -168,72 +170,26 @@ def _constant(state: State, lo: float, hi: float) -> WaveSegment:
     return WaveSegment(SegmentKind.CONSTANT, lo, hi, left=state, right=state)
 
 
-def _wave_kind(fam: WaveFamily, a: State, b: State, u_scale: float) -> Optional[tuple[bool, bool]]:
-    """(is_rarefaction, weak) of the classical wave from ``a`` to ``b``, or None when degenerate.
-
-    ``u_scale`` is |u_l| + |u_r| of the Riemann data. A wave whose density
-    jump is within ``DEGENERATE_RTOL`` is weak, and degenerate unless its
-    velocity jump passes ``DEGENERATE_RTOL * (1 + u_scale)``. A weak wave is
-    a rarefaction when u rises across it (the sign of its density jump is
-    rounding); any other is one when its density falls (family 1) or rises
-    (family 2). ``_wave_segment`` and ``region_of`` both take this decision.
-    """
-    weak = abs(a.rho - b.rho) <= fvcore.DEGENERATE_RTOL * max(a.rho, b.rho)
-    if not weak:
-        return (b.rho < a.rho if fam is WaveFamily.ONE else b.rho > a.rho), False
-    # Mixed absolute and relative, like the density test but with a floor of 1.
-    if abs(a.u - b.u) <= fvcore.DEGENERATE_RTOL * (1.0 + u_scale):
-        return None
-    return b.u > a.u, True
+_FAMILIES = (WaveFamily.ONE, WaveFamily.TWO)
 
 
-def _wave_segment(
-    p: PressureParams, fam: WaveFamily, a: State, b: State, u_scale: float
-) -> Optional[WaveSegment]:
-    """One classical wave from ``a`` (left) to ``b`` (right), or None when degenerate.
-
-    The wave is typed by ``_wave_kind``. Near vacuum the sound speed is so
-    large (2e149 at rho = 1e-200 for A = B = 0.1, n = 2, alpha = 0.5) that a
-    unit velocity jump moves rho by far less than rho* resolves; such a weak
-    wave stays, with zero width at the mean of its end speeds. A fan whose
-    edge speeds are out of order by rounding (``fvcore.fan_inverted``) takes
-    zero width the same way.
-    """
-    typed = _wave_kind(fam, a, b, u_scale)
-    if typed is None:
-        return None
-    is_rarefaction, weak = typed
-    idx = 0 if fam is WaveFamily.ONE else 1
-    contact_like = p.model is Model.GCG and p.alpha == 1.0
-    if is_rarefaction or weak:
-        lo, hi = eigenvalues(p, a)[idx], eigenvalues(p, b)[idx]
-        if weak or contact_like or fvcore.fan_inverted(lo, hi, u_scale):
-            lo = hi = 0.5 * (lo + hi)
-    else:
-        lo = hi = shock_speed(p, a, b)
-    kind = SegmentKind.CONTACT if contact_like else (
-        SegmentKind.FAN if is_rarefaction else SegmentKind.SHOCK
-    )
-    return WaveSegment(kind, lo, hi, left=a, right=b, family=fam)
+def _fronts(p: PressureParams, left: State, mid: State, right: State):
+    """``fvcore.wave_fronts`` of a two-wave solution, in Python floats, with checked sound speeds."""
+    cl = math.sqrt(sound_speed_sq(p, left.rho))
+    cs = math.sqrt(sound_speed_sq(p, mid.rho))
+    cr = math.sqrt(sound_speed_sq(p, right.rho))
+    return fvcore.wave_fronts(p, left.rho, left.u, right.rho, right.u, mid.rho, mid.u, cl, cr, cs)
 
 
-def _assemble(
-    p: PressureParams, left: State, mid: State, right: State
-) -> tuple[WaveSegment, ...]:
-    u_scale = abs(left.u) + abs(right.u)
-    waves = []
-    w1 = _wave_segment(p, WaveFamily.ONE, left, mid, u_scale)
-    if w1 is not None:
-        waves.append(w1)
-    w2 = _wave_segment(p, WaveFamily.TWO, mid, right, u_scale)
-    if w2 is not None:
-        waves.append(w2)
-    segs = []
-    cursor_state, cursor_xi = left, -math.inf
-    for w in waves:
-        segs.append(_constant(cursor_state, cursor_xi, w.xi_lo))
-        segs.append(w)
-        cursor_state, cursor_xi = w.right, w.xi_hi
+def _assemble(p: PressureParams, left: State, mid: State, right: State) -> tuple[WaveSegment, ...]:
+    """The segments of a two-wave solution: the waves ``fvcore.wave_fronts`` keeps, and constants between."""
+    contact = p.model is Model.GCG and p.alpha == 1.0
+    segs, cursor_state, cursor_xi = [], left, -math.inf
+    for fam, (kept, rare, lo, hi), a, b in zip(_FAMILIES, _fronts(p, left, mid, right), (left, mid), (mid, right)):
+        if kept:
+            kind = SegmentKind.CONTACT if contact else SegmentKind.FAN if rare else SegmentKind.SHOCK
+            segs += [_constant(cursor_state, cursor_xi, lo), WaveSegment(kind, lo, hi, left=a, right=b, family=fam)]
+            cursor_state, cursor_xi = b, hi
     segs.append(_constant(cursor_state, cursor_xi, math.inf))
     # An unresolved intermediate state can put a fan's ends, or two waves,
     # in the wrong order; that is no solution.
@@ -350,8 +306,9 @@ def solve(p: PressureParams, left: State, right: State) -> RiemannSolution:
 def region_of(sol: RiemannSolution):
     """The phase-plane region of an ECG or GCG solution, as a RegionECG or RegionGCG.
 
-    Each wave is typed from the data and rho* by ``_wave_kind``, the rule
-    ``solve`` typed it by, so GCG alpha = 1 contacts keep their I-IV tags.
+    Each wave is typed from the data and rho* by ``fvcore.wave_fronts``,
+    the rule ``solve`` kept it by, so GCG alpha = 1 contacts keep their
+    I-IV tags.
     A wave that ``solve`` dropped puts the datum ``OnBoundary``, with
     ``boundary`` naming the wave kept; with no wave at all (equal data, or
     both waves dropped) the datum sits where all curves meet, on R1 and S2.
@@ -362,13 +319,8 @@ def region_of(sol: RiemannSolution):
         raise UnsupportedModelError("transport data have no classical region")
     if mid is None and sol.delta is not None:
         return RegionGCG("V")
-    waves = []  # the names of the waves kept
-    if mid is not None:
-        u_scale = abs(left.u) + abs(right.u)
-        for fam, a, b in ((WaveFamily.ONE, left, mid), (WaveFamily.TWO, mid, right)):
-            typed = _wave_kind(fam, a, b, u_scale)
-            if typed is not None:
-                waves.append("%s%d" % ("R" if typed[0] else "S", fam.value))
+    fronts = _fronts(p, left, mid, right) if mid is not None else ()
+    waves = ["%s%d" % ("R" if rare else "S", k) for k, (kept, rare, _, _) in enumerate(fronts, 1) if kept]
     region = RegionGCG if p.model is Model.GCG else RegionECG
     if len(waves) < 2:
         return region("OnBoundary", tuple(waves) or ("R1", "S2"))

@@ -31,22 +31,6 @@ class WaveFamily(Enum):
     TWO = 2
 
 
-def velocity_jump_integral(p: PressureParams, rho_lo: float, rho_hi: float) -> float:
-    """Integral over [rho_lo, rho_hi] of c(s)/s ds along a rarefaction curve.
-
-    A scalar call into ``fvcore.velocity_jump``; beyond the float range it
-    raises NumericalLimitError, and numpy warns unless the caller silences it.
-    """
-    if rho_lo > rho_hi:
-        raise DomainError("need rho_lo <= rho_hi")
-    if rho_lo == rho_hi:
-        return 0.0
-    jump = float(fvcore.velocity_jump(p, math.log(rho_lo), math.log(rho_hi)))
-    if not math.isfinite(jump):
-        raise NumericalLimitError(f"rarefaction integral over [{rho_lo!r}, {rho_hi!r}] overflows")
-    return jump
-
-
 def _forward_curve(p: PressureParams, left: State, rho, fam: WaveFamily):
     """u on the forward curve of family ``fam`` through ``left``: u- - phi.
 

@@ -25,7 +25,6 @@ import numpy as np
 
 from chapgas import ChapgasError, DomainError, NumericalLimitError, PressureParams, State, fvcore
 from chapgas.models import shock_radicand
-from chapgas.waves import velocity_jump_integral
 
 _EPS = 2.220446049250313e-16
 
@@ -299,10 +298,15 @@ def _shock_jump(p: PressureParams, rho_a: float, rho_b: float) -> float:
     return math.sqrt(max(shock_radicand(p, rho_a, rho_b), 0.0))
 
 
+def _rarefaction_jump(p: PressureParams, rho_lo: float, rho_hi: float) -> float:
+    """The core's rarefaction integral over [rho_lo, rho_hi]: ``fvcore.velocity_jump`` on the logs."""
+    return float(fvcore.velocity_jump(p, math.log(rho_lo), math.log(rho_hi)))
+
+
 def curve_one_u(p: PressureParams, left: State, rho: float) -> float:
     """Forward 1-curve through ``left`` in scalar floats: rarefaction for rho < rho-, shock above."""
     if rho < left.rho:
-        return left.u + velocity_jump_integral(p, rho, left.rho)
+        return left.u + _rarefaction_jump(p, rho, left.rho)
     if rho > left.rho:
         return left.u - _shock_jump(p, left.rho, rho)
     return left.u
@@ -313,7 +317,7 @@ def curve_two_u(p: PressureParams, left: State, rho: float) -> float:
     if rho < left.rho:
         return left.u - _shock_jump(p, left.rho, rho)
     if rho > left.rho:
-        return left.u + velocity_jump_integral(p, left.rho, rho)
+        return left.u + _rarefaction_jump(p, left.rho, rho)
     return left.u
 
 
@@ -322,7 +326,7 @@ def curve_two_u_backward(p: PressureParams, right: State, rho: float) -> float:
     if not (rho > 0.0):
         raise DomainError(f"density must be positive, got {rho!r}")
     if rho < right.rho:
-        return right.u - velocity_jump_integral(p, rho, right.rho)
+        return right.u - _rarefaction_jump(p, rho, right.rho)
     if rho > right.rho:
         return right.u + _shock_jump(p, rho, right.rho)
     return right.u

@@ -551,3 +551,22 @@ def test_parser_survives_a_bad_argv(capsys):
     assert "invalid choice" in capsys.readouterr().err
     assert main(_CLASSIFY_S1S2) == EXIT_OK
     assert capsys.readouterr().out == "S1S2\n"
+
+
+@pytest.mark.parametrize(
+    "model, left, right",
+    [
+        (["--model", "gcg", "--B", "1", "--alpha", "0.5"], "1,0", "1,0"),
+        (_README_ECG, "1,0.5", "1,0.5"),
+        (["--model", "transport"], "1,0", "1,0"),
+        # Both velocity jumps within DEGENERATE_RTOL: both waves are dropped.
+        (["--model", "gcg", "--B", "1", "--alpha", "1"], "1,0", "1,-1.03e-10"),
+    ],
+)
+def test_solution_without_waves_is_labelled_constant(tmp_path, capsys, model, left, right):
+    data = [*model, "--left", left, "--right", right]
+    assert main(["classify", *data]) == EXIT_OK
+    assert capsys.readouterr().out == "constant\n"
+    assert main(["solve", *data, "--out", str(tmp_path)]) == EXIT_OK
+    doc = json.loads((tmp_path / "solution.json").read_text())
+    assert (doc["region"], doc["pattern"]) == ("constant", "constant")

@@ -1,4 +1,6 @@
 
+import math
+
 import numpy as np
 import pytest
 
@@ -13,13 +15,14 @@ from chapgas import (
     classify_ecg,
     classify_gcg,
     eigenvalues,
+    fvcore,
     lax_check,
     rarefaction_u,
     shock_speed,
     shock_u,
     solve_ecg,
 )
-from chapgas.waves import curve_one_u, gcg_entropy_window, rh_residuals, velocity_jump_integral
+from chapgas.waves import curve_one_u, gcg_entropy_window, rh_residuals
 
 # Velocity on the 1-rarefaction curve through (1, 0) at rho = 0.5 for
 # A = 1, B = 1, n = 2, alpha = 0.5, frozen from a 2e6-panel midpoint sum.
@@ -67,14 +70,18 @@ def test_rarefaction_ecg_quadrature_vs_oracle():
 def test_velocity_jump_integral_matches_mpmath(coefs, lo, hi, want):
     A, B, n, alpha = coefs
     p = PressureParams.ecg(A, B, n, alpha) if A > 0.0 else PressureParams.gcg(B, alpha)
-    assert abs(velocity_jump_integral(p, lo, hi) - float(want)) <= 1e-13 * float(want)
+    jump = float(fvcore.velocity_jump(p, math.log(lo), math.log(hi)))
+    assert abs(jump - float(want)) <= 1e-13 * float(want)
 
 
-def test_velocity_jump_integral_ends():
+def test_velocity_jump_ends():
     p = _p_ecg()
-    assert velocity_jump_integral(p, 0.7, 0.7) == 0.0
-    with pytest.raises(DomainError):
-        velocity_jump_integral(p, 2.0, 1.0)
+    y = math.log(0.7)
+    assert fvcore.velocity_jump(p, y, y) == 0.0
+    ya, yb = math.log(1.0), math.log(2.0)
+    jump, back = fvcore.velocity_jump(p, ya, yb), fvcore.velocity_jump(p, yb, ya)
+    assert jump > 0.0 > back
+    assert back == pytest.approx(-jump, rel=1e-14)
 
 
 def test_rarefaction_wrong_side():
