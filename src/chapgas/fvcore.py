@@ -29,12 +29,19 @@ Both passes evaluate the same per-element formulas, below, with the same
 numpy ufuncs, so an element comes out to the bit the same whichever pass it
 takes. Powers stay on arrays in both: ``**`` on a float64 scalar goes
 through the C library's ``pow`` and can differ from the array loop in the
-last bit.
+last bit. On data with equal densities (every limit sweep starts from such
+data) the scalar star state evaluates one wave curve per Newton iterate,
+not two: the backward 2-curve through the right state is then the mirror
+of the 1-curve through the left one, with the same values to the bit.
 
 Model dispatch follows the ``PressureParams`` tag: transport has no pressure,
 GCG (A = 0) uses the closed-form rarefaction integral and fan inversion, ECG
 integrates it with Kronrod-15 panels no wider than one octave in density.
 ``pressure``, ``cs2`` and the GCG delta-region test come from ``models``.
+
+A flux sweep pads rho and u once each with outflow ghost cells
+(``_padded``) and takes the state fluxes on the padded arrays; the values
+left and right of the interfaces are views of them.
 
 ``wave_fronts`` is the one wave rule: which waves a classical solution
 has, of which kind, and their edge speeds. ``solver.solve`` builds its
@@ -98,10 +105,13 @@ def _cs2_terms(p: PressureParams, y):
     return p.A * p.n * np.exp((p.n - 1.0) * y), p.alpha * p.B * np.exp(-(p.alpha + 1.0) * y)
 
 
-def _panel_sums(p: PressureParams, a, h, j):
-    """Kronrod-15 sums of c over the panels [a + h j, a + h (j + 1)], not yet times h."""
-    t1, t2 = _cs2_terms(p, a + h * (j + _K15_T))
-    return (np.sqrt(t1 + t2) * _K15_W).sum(axis=-1)
+def _panel_sums(p: PressureParams, a, h, j=None):
+    """Kronrod-15 sums of c over the panels [a + h j, a + h (j + 1)], not yet times h.
+
+    ``j`` None is the one panel [a, a + h], whose nodes need no offset.
+    """
+    t1, t2 = _cs2_terms(p, a + h * (_K15_T if j is None else j + _K15_T))
+    return np.add.reduce(np.sqrt(t1 + t2) * _K15_W, axis=-1)
 
 
 def velocity_jump(p: PressureParams, ya, yb):
@@ -131,7 +141,7 @@ def velocity_jump(p: PressureParams, ya, yb):
         panels = max(math.ceil(abs(d) / _LN2), 1)
         h = d / panels
         if panels == 1:
-            jump = _panel_sums(p, a, h, 0.0) * h
+            jump = _panel_sums(p, a, h) * h
         else:
             jump = np.add.accumulate(_panel_sums(p, a, h, np.arange(panels)[:, None]))[-1] * h
         shape = ya.shape if ya.ndim >= yb.ndim else yb.shape
@@ -140,7 +150,7 @@ def velocity_jump(p: PressureParams, ya, yb):
     panels = np.maximum(np.ceil(np.abs(d) / _LN2), 1.0)
     h = d / panels
     if int(panels.max(initial=1.0)) == 1:
-        return _panel_sums(p, ya[..., None], h[..., None], 0.0) * h
+        return _panel_sums(p, ya[..., None], h[..., None]) * h
     counts = panels.astype(np.intp).ravel()
     owner = np.repeat(np.arange(counts.size), counts)  # the element of each panel
     j = np.arange(owner.size) - np.searchsorted(owner, owner)  # its index in that element
@@ -474,9 +484,16 @@ def _star_state_one(p: PressureParams, values, shape):
 
     The two sides' logs, pressures and sound speeds are taken as one
     2-element array, where ``**`` is the array pass's; each side's curve
-    takes its rarefaction or its shock branch alone.
+    takes its rarefaction or its shock branch alone. With equal data
+    densities the backward 2-curve through the right state mirrors the
+    1-curve through the left one, phi_r(y) = phi_l(y) to the bit, so the
+    mismatch takes the 1-curve's (phi, dphi/dy) for both and evaluates one
+    curve, one rarefaction quadrature, per iterate. (The array pass
+    evaluates both: its interfaces with rl == rr are nearly all trivial
+    and skipped by the Godunov flux.)
     """
     rl, ul, rr, ur = values
+    mirrored = bool(rl == rr)
     A, B, n, alpha = p.A, p.B, p.n, p.alpha
     sides = np.array([rl, rr])
     (yl, yr), (pl, pr) = np.log(sides), pressure(A, B, n, alpha, sides)
@@ -496,7 +513,7 @@ def _star_state_one(p: PressureParams, values, shape):
         cs2_rho = t1 + t2
         c = np.sqrt(cs2_rho)
         phi_l, dphi_l = curve(rl, yl, pl, y, rho, t1, t2, cs2_rho, c)
-        phi_r, dphi_r = curve(rr, yr, pr, y, rho, t1, t2, cs2_rho, c)
+        phi_r, dphi_r = (phi_l, dphi_l) if mirrored else curve(rr, yr, pr, y, rho, t1, t2, cs2_rho, c)
         seen[:] = y, phi_l, phi_r, dphi_l, dphi_r
         h, noise = _star_mismatch(phi_l, phi_r, du, scale)
         if not abs(h) < math.inf or _beyond_range(h, y):
@@ -678,9 +695,23 @@ def _state_flux(p: PressureParams, rho, u):
     return mass, mass * u + pres
 
 
-def _sides(a):
-    """Values left and right of each interface, with outflow ghost cells."""
-    return np.concatenate((a[:1], a)), np.concatenate((a, a[-1:]))
+def _padded(a):
+    """``a`` with an outflow ghost cell at each end, one concatenation.
+
+    Interface i lies between cells i - 1 and i, so on the padded array the
+    values left and right of every interface are the views ``[:-1]`` and
+    ``[1:]``. State fluxes are taken on the padded arrays: being
+    elementwise, their ghost values are those of the end cells.
+    """
+    return np.concatenate((a[:1], a, a[-1:]))
+
+
+def _lax_friedrichs(rho, frho, fmom, lam):
+    """Lax-Friedrichs fluxes from padded densities and state fluxes; the mass flux rho u is the momentum."""
+    return (
+        0.5 * (frho[:-1] + frho[1:]) - 0.5 * lam * (rho[1:] - rho[:-1]),
+        0.5 * (fmom[:-1] + fmom[1:]) - 0.5 * lam * (frho[1:] - frho[:-1]),
+    )
 
 
 def max_abs_speed(p: PressureParams, rho, u):
@@ -694,13 +725,8 @@ def max_abs_speed(p: PressureParams, rho, u):
 
 def lf_flux(p: PressureParams, rho, u, lam):
     """Lax-Friedrichs fluxes at all interfaces, with numerical speed ``lam`` = dx/dt."""
-    frho, fmom = _state_flux(p, rho, u)
-    (rl, rr), (ul, ur) = _sides(rho), _sides(u)
-    (fl_r, fr_r), (fl_m, fr_m) = _sides(frho), _sides(fmom)
-    return (
-        0.5 * (fl_r + fr_r) - 0.5 * lam * (rr - rl),
-        0.5 * (fl_m + fr_m) - 0.5 * lam * (rr * ur - rl * ul),
-    )
+    rho, u = _padded(rho), _padded(u)
+    return _lax_friedrichs(rho, *_state_flux(p, rho, u), lam)
 
 
 def godunov_flux(p: PressureParams, rho, u, lam):
@@ -710,15 +736,15 @@ def godunov_flux(p: PressureParams, rho, u, lam):
     u_l > u_r, GCG in the delta region) take the Lax-Friedrichs flux;
     vacuum and contact transport interfaces take the upwind flux.
     """
+    rho, u = _padded(rho), _padded(u)
     frho_c, fmom_c = _state_flux(p, rho, u)
-    (rl, rr), (ul, ur) = _sides(rho), _sides(u)
-    (fl_r, fr_r), (fl_m, fr_m) = _sides(frho_c), _sides(fmom_c)
-    frho, fmom = fl_r.copy(), fl_m.copy()
+    rl, rr, ul, ur = rho[:-1], rho[1:], u[:-1], u[1:]
+    frho, fmom = frho_c[:-1].copy(), fmom_c[:-1].copy()
     if p.model is Model.TRANSPORT:
         delta = ul > ur
         upwind_right = (ul < 0.0) & ((ul == ur) | (ur <= 0.0))
-        frho = np.where(upwind_right, fr_r, frho)
-        fmom = np.where(upwind_right, fr_m, fmom)
+        frho = np.where(upwind_right, frho_c[1:], frho)
+        fmom = np.where(upwind_right, fmom_c[1:], fmom)
         vacuum = (ul < 0.0) & (ur > 0.0)
         frho[vacuum] = 0.0
         fmom[vacuum] = 0.0
@@ -733,7 +759,7 @@ def godunov_flux(p: PressureParams, rho, u, lam):
             rs, us = star_state(p, *sub)
             frho[cls], fmom[cls] = _state_flux(p, *sample_classical(p, *sub, rs, us, 0.0))
     if delta.any():
-        lf_rho, lf_mom = lf_flux(p, rho, u, lam)
+        lf_rho, lf_mom = _lax_friedrichs(rho, frho_c, fmom_c, lam)
         frho = np.where(delta, lf_rho, frho)
         fmom = np.where(delta, lf_mom, fmom)
     return frho, fmom, int(np.count_nonzero(delta))

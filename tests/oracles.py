@@ -8,7 +8,10 @@ Python iteration per panel, the wave curves in scalar floats on
 ``waves`` uses), the intermediate state of a two-wave solution by
 bisection in rho on the wave-curve mismatch, an independent check of the
 core's Newton, and that Newton's one-element loop with the stopping rule
-it had before trusted steps settled it. The adaptive quadrature keeps its
+it had before trusted steps settled it, and the Lax-Friedrichs interface
+fluxes built from each field's left and right sides, two concatenations
+per field, as ``fvcore.lf_flux`` built them before it padded each field
+once. The adaptive quadrature keeps its
 own copy of the Kronrod-15 nodes and weights, so it checks ``fvcore``'s
 table instead of sharing it; the panel loop shares the table, because it
 checks the order of the arithmetic and not the rule.
@@ -218,6 +221,22 @@ def panel_loop_velocity_jump(p, ya, yb):
         part = (np.sqrt(t1 + t2) * fvcore._K15_W).sum(axis=-1)
         total = part if j == 0 else total + np.where(j < panels, part, 0.0)
     return total * h
+
+
+def _sides(a):
+    """Values left and right of each interface, with outflow ghost cells."""
+    return np.concatenate((a[:1], a)), np.concatenate((a, a[-1:]))
+
+
+def lax_friedrichs_by_sides(p: PressureParams, rho, u, lam):
+    """Lax-Friedrichs fluxes at all interfaces, each side of each field concatenated on its own."""
+    frho, fmom = fvcore._state_flux(p, rho, u)
+    (rl, rr), (ul, ur) = _sides(rho), _sides(u)
+    (fl_r, fr_r), (fl_m, fr_m) = _sides(frho), _sides(fmom)
+    return (
+        0.5 * (fl_r + fr_r) - 0.5 * lam * (rr - rl),
+        0.5 * (fl_m + fr_m) - 0.5 * lam * (rr * ur - rl * ul),
+    )
 
 
 def find_root(

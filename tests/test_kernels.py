@@ -23,6 +23,7 @@ from oracles import (
     curve_one_u,
     curve_two_u,
     integrate,
+    lax_friedrichs_by_sides,
     newton_one_to_tol_y,
     panel_loop_velocity_jump,
 )
@@ -777,3 +778,82 @@ def test_a_short_bisection_does_not_settle_newton(batch, start, lo, hi):
     else:
         y = fvcore._newton_one(fun, np.float64(y0), np.float64(lo), np.float64(hi), capped=False)
     assert abs(y - root) <= 2.0 * fvcore._TOL_Y
+
+
+_README = PressureParams.ecg(0.1, 0.1, 2.0, 0.5)
+
+
+def _ladder(k):
+    """The near-vacuum ladder's model: A = B = 10^-k, n = 2, alpha = 1/2."""
+    return PressureParams.ecg(10.0**-k, 10.0**-k, 2.0, 0.5)
+
+
+@pytest.mark.parametrize(
+    "p, left, right",
+    [
+        pytest.param(_README, State(1.0, 1.0), State(1.0, -1.0), id="ecg-S1S2"),
+        pytest.param(_README, State(1.0, -1.0), State(1.0, 1.0), id="ecg-R1R2"),
+        *(pytest.param(_ladder(k), State(1.0, -1.0), State(1.0, 1.0), id=f"ladder-k{k}") for k in (1, 7, 14)),
+        pytest.param(_README, State(1e-200, 0.0), State(1e-200, 1.0), id="near-vacuum"),
+        pytest.param(PressureParams.gcg(1.0, 0.5), State(1.0, 0.5), State(1.0, -0.5), id="gcg-0.5-S1S2"),
+        pytest.param(PressureParams.gcg(1.0, 0.5), State(1.0, -0.5), State(1.0, 0.5), id="gcg-0.5-R1R2"),
+        pytest.param(PressureParams.gcg(1.0, 1.0), State(1.0, -0.5), State(1.0, 0.5), id="gcg-1-R1R2"),
+    ],
+)
+def test_equal_density_solve_is_the_two_curve_array_pass_bitwise(p, left, right):
+    # With rho- = rho+ the scalar pass takes the 1-curve's (phi, dphi/dy)
+    # for the 2-curve's. The array pass evaluates both curves; an unequal
+    # datum beside this one keeps the batch in it.
+    mid = solve(p, left, right).intermediate
+    rs, us = fvcore.star_state(
+        p, np.array([left.rho, 1.0]), np.array([left.u, 0.0]), np.array([right.rho, 0.5]), np.array([right.u, 0.0])
+    )
+    assert _same_bits([mid.rho, mid.u], [rs[0], us[0]])
+
+
+def test_equal_density_solves_take_one_quadrature_per_mismatch(monkeypatch):
+    calls = {"velocity_jump": 0, "_star_mismatch": 0}
+    _counting(monkeypatch, calls, "velocity_jump")
+    _counting(monkeypatch, calls, "_star_mismatch")
+    solve(_README, State(1.0, -1.0), State(1.0, 1.0))
+    assert calls == {"velocity_jump": 4, "_star_mismatch": 4}
+    calls["velocity_jump"] = 0
+    for k in range(1, 15):
+        solve(_ladder(k), State(1.0, -1.0), State(1.0, 1.0))
+    assert calls["velocity_jump"] == 105
+
+
+def _random_grid(rng, p, cells):
+    rho = rng.uniform(0.1, 3.0, cells)
+    u = rng.uniform(-2.0, 2.0, cells)
+    if p.model is chapgas.Model.TRANSPORT:
+        rho[cells // 2], u[cells // 2] = 0.0, 0.0  # an empty cell
+    return rho, u
+
+
+@pytest.mark.parametrize(
+    "p",
+    [PressureParams.ecg(0.3, 0.2, 1.5, 0.4), PressureParams.gcg(0.5, 0.7), PressureParams.transport()],
+    ids=["ecg", "gcg", "transport"],
+)
+def test_lf_flux_on_padded_fields_is_the_sides_formula_bitwise(p):
+    rng = np.random.default_rng(46)
+    for cells in (1, 2, 7, 64):
+        rho, u = _random_grid(rng, p, cells)
+        lam = rng.uniform(1.0, 20.0)
+        assert _same_bits(fvcore.lf_flux(p, rho, u, lam), lax_friedrichs_by_sides(p, rho, u, lam))
+
+
+def test_godunov_flux_on_a_transport_grid_with_every_interface_kind():
+    # Interfaces, ghost cells included: upwind from the right, vacuum,
+    # contact (upwind from the left), delta (Lax-Friedrichs), and upwind
+    # from the right twice.
+    p = PressureParams.transport()
+    rho = np.array([1.0, 1.0, 2.0, 2.0, 1.0])
+    u = np.array([-1.0, 1.0, 1.0, -1.0, -1.0])
+    frho, fmom, fallbacks = fvcore.godunov_flux(p, rho, u, 4.0)
+    assert _same_bits(frho, np.array([-1.0, 0.0, 1.0, 0.0, -1.0, -1.0]))
+    assert _same_bits(fmom, np.array([1.0, 0.0, 1.0, 2.0 + 8.0, 1.0, 1.0]))
+    assert fallbacks == 1
+    lf_rho, lf_mom = lax_friedrichs_by_sides(p, rho, u, 4.0)
+    assert frho[3] == lf_rho[3] and fmom[3] == lf_mom[3]
