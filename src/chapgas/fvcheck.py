@@ -169,7 +169,7 @@ def evolve(
 
     edges = np.linspace(g.x_lo, g.x_hi, g.cells + 1)
     centers = 0.5 * (edges[:-1] + edges[1:])
-    rho, mom = _project_datum(left, right, edges)
+    rho, mom = (fvcore._padded(a) for a in _project_datum(left, right, edges))
     godunov = g.scheme is Scheme.GODUNOV_EXACT
     dx = g.dx
     t = 0.0
@@ -182,10 +182,10 @@ def evolve(
             p, rho, mom, dx, g.cfl, g.t_end - t, godunov
         )
         fallbacks += nfall
-        worst = int(np.argmin(rho))
-        if rho[worst] < 0.0:
+        worst = int(rho[1:-1].argmin())
+        if rho[worst + 1] < 0.0:
             raise PositivityError(
-                f"negative density {rho[worst]:.6g} in cell {worst} at t={t + dt:.6g}",
+                f"negative density {rho[worst + 1]:.6g} in cell {worst} at t={t + dt:.6g}",
                 cell=worst,
             )
         mass_in += dt * (frho[0] - frho[-1])
@@ -202,8 +202,8 @@ def evolve(
     return FieldSnapshot(
         time=t,
         x=centers,
-        rho=rho,
-        momentum=mom,
+        rho=rho[1:-1],
+        momentum=mom[1:-1],
         dx=dx,
         params=p,
         left=left,

@@ -39,9 +39,11 @@ GCG (A = 0) uses the closed-form rarefaction integral and fan inversion, ECG
 integrates it with Kronrod-15 panels no wider than one octave in density.
 ``pressure``, ``cs2`` and the GCG delta-region test come from ``models``.
 
-A flux sweep pads rho and u once each with outflow ghost cells
-(``_padded``) and takes the state fluxes on the padded arrays; the values
-left and right of the interfaces are views of them.
+A run pads rho and rho u once with an outflow ghost cell at each end
+(``_padded``); ``step`` and the flux functions take padded fields, read both
+sides of every interface as views, and ``step`` refills the ghosts after
+each update. Only a field with an empty cell (ECG and GCG have none) takes
+guarded divisions and laws.
 
 ``wave_fronts`` is the one wave rule: which waves a classical solution
 has, of which kind, and their edge speeds. ``solver.solve`` builds its
@@ -686,13 +688,20 @@ def sample_classical(p: PressureParams, rl, ul, rr, ur, rs, us, xi):
     return rho, u
 
 
+def _law(law, p: PressureParams, rho):
+    """``pressure`` or ``cs2`` at the cell densities, 0 in empty cells; only a field with one pays for the guard."""
+    full = rho > 0.0
+    if _all(full):
+        return law(p.A, p.B, p.n, p.alpha, rho)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(full, law(p.A, p.B, p.n, p.alpha, rho), 0.0)
+
+
 def _state_flux(p: PressureParams, rho, u):
     mass = rho * u
     if p.model is Model.TRANSPORT:
         return mass, mass * u
-    with np.errstate(divide="ignore", invalid="ignore"):
-        pres = np.where(rho > 0.0, pressure(p.A, p.B, p.n, p.alpha, rho), 0.0)
-    return mass, mass * u + pres
+    return mass, mass * u + _law(pressure, p, rho)
 
 
 def _padded(a):
@@ -700,8 +709,7 @@ def _padded(a):
 
     Interface i lies between cells i - 1 and i, so on the padded array the
     values left and right of every interface are the views ``[:-1]`` and
-    ``[1:]``. State fluxes are taken on the padded arrays: being
-    elementwise, their ghost values are those of the end cells.
+    ``[1:]``; elementwise state fluxes give the ghosts the end cells' values.
     """
     return np.concatenate((a[:1], a, a[-1:]))
 
@@ -717,26 +725,22 @@ def _lax_friedrichs(rho, frho, fmom, lam):
 def max_abs_speed(p: PressureParams, rho, u):
     """Largest |u| + c over the cells (c = 0 for transport and empty cells)."""
     if p.model is Model.TRANSPORT:
-        return float(np.max(np.abs(u)))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        c = np.where(rho > 0.0, np.sqrt(cs2(p.A, p.B, p.n, p.alpha, rho)), 0.0)
-    return float(np.max(np.abs(u) + c))
+        return float(np.abs(u).max())
+    return float((np.abs(u) + np.sqrt(_law(cs2, p, rho))).max())
 
 
 def lf_flux(p: PressureParams, rho, u, lam):
-    """Lax-Friedrichs fluxes at all interfaces, with numerical speed ``lam`` = dx/dt."""
-    rho, u = _padded(rho), _padded(u)
+    """Lax-Friedrichs fluxes at all interfaces of padded fields, with numerical speed ``lam`` = dx/dt."""
     return _lax_friedrichs(rho, *_state_flux(p, rho, u), lam)
 
 
 def godunov_flux(p: PressureParams, rho, u, lam):
-    """Godunov fluxes at all interfaces, and how many fell back to Lax-Friedrichs.
+    """Godunov fluxes at all interfaces of padded fields, and how many fell back to Lax-Friedrichs.
 
     Interfaces whose Riemann problem has a delta shock (transport with
     u_l > u_r, GCG in the delta region) take the Lax-Friedrichs flux;
     vacuum and contact transport interfaces take the upwind flux.
     """
-    rho, u = _padded(rho), _padded(u)
     frho_c, fmom_c = _state_flux(p, rho, u)
     rl, rr, ul, ur = rho[:-1], rho[1:], u[:-1], u[1:]
     frho, fmom = frho_c[:-1].copy(), fmom_c[:-1].copy()
@@ -766,13 +770,15 @@ def godunov_flux(p: PressureParams, rho, u, lam):
 
 
 def step(p: PressureParams, rho, mom, dx: float, cfl: float, t_left: float, godunov: bool):
-    """One conservative update of all cells, at the CFL time step capped by ``t_left``.
+    """One conservative update of padded fields (``_padded``), at the CFL time step capped by ``t_left``.
 
     Returns (rho, mom, dt, smax, frho, fmom, fallbacks): the new cell
-    averages, the step taken, the largest wave speed, the interface fluxes
-    and the number of Godunov interfaces fluxed with Lax-Friedrichs.
+    averages, padded, with the end cells copied into the ghosts; the step
+    taken, the largest wave speed, the interface fluxes and the number of
+    Godunov interfaces fluxed with Lax-Friedrichs.
     """
-    u = np.divide(mom, rho, out=np.zeros_like(mom), where=rho > 0.0)  # 0 in empty cells
+    full = rho > 0.0
+    u = mom / rho if _all(full) else np.divide(mom, rho, out=np.zeros_like(mom), where=full)  # 0 in empty cells
     smax = max_abs_speed(p, rho, u)
     if not math.isfinite(smax):
         raise NumericalLimitError("wave speed is not finite")
@@ -783,6 +789,8 @@ def step(p: PressureParams, rho, mom, dx: float, cfl: float, t_left: float, godu
     else:
         (frho, fmom), fallbacks = lf_flux(p, rho, u, lam), 0
     k = dt / dx
-    rho = rho - k * (frho[1:] - frho[:-1])
-    mom = mom - k * (fmom[1:] - fmom[:-1])
-    return rho, mom, dt, smax, frho, fmom, fallbacks
+    new = np.empty((2, rho.size))  # the new rho and mom, padded
+    np.subtract(rho[1:-1], k * (frho[1:] - frho[:-1]), out=new[0, 1:-1])
+    np.subtract(mom[1:-1], k * (fmom[1:] - fmom[:-1]), out=new[1, 1:-1])
+    new[:, 0], new[:, -1] = new[:, 1], new[:, -2]
+    return new[0], new[1], dt, smax, frho, fmom, fallbacks

@@ -116,12 +116,14 @@ def _check_rho(rho: float) -> None:
 
 def pressure_law(A, B, n, alpha, rho):
     """P(rho) = A*rho^n - B*rho^-alpha on raw coefficients; rho a float or an array."""
-    return A * rho**n - B * rho ** (-alpha)
+    # A = 0 (GCG) skips the A-term: 0.0 - x is 0.0 * rho - x to the bit for finite rho.
+    return (0.0 if A == 0.0 else A * rho**n) - B * rho ** (-alpha)
 
 
 def cs2_law(A, B, n, alpha, rho):
     """dP/drho = A*n*rho^(n-1) + alpha*B*rho^-(alpha+1) on raw coefficients."""
-    return A * n * rho ** (n - 1.0) + alpha * B * rho ** (-(alpha + 1.0))
+    b_term = alpha * B * rho ** (-(alpha + 1.0))  # the value to the bit at A = 0, as 0.0 + b_term
+    return b_term if A == 0.0 else A * n * rho ** (n - 1.0) + b_term
 
 
 def shock_radicand(p: PressureParams, rho_a, rho_b):

@@ -11,7 +11,9 @@ core's Newton, and that Newton's one-element loop with the stopping rule
 it had before trusted steps settled it, and the Lax-Friedrichs interface
 fluxes built from each field's left and right sides, two concatenations
 per field, as ``fvcore.lf_flux`` built them before it padded each field
-once. The adaptive quadrature keeps its
+once, and the time step and march on bare cells as they were before runs
+carried padded fields: padding every step, guards against empty cells on
+every field, two-term pressure laws. The adaptive quadrature keeps its
 own copy of the Kronrod-15 nodes and weights, so it checks ``fvcore``'s
 table instead of sharing it; the panel loop shares the table, because it
 checks the order of the arithmetic and not the rule.
@@ -27,7 +29,8 @@ from typing import Callable
 import numpy as np
 
 from chapgas import ChapgasError, DomainError, NumericalLimitError, PressureParams, State, fvcore
-from chapgas.models import shock_radicand
+from chapgas.fvcheck import Scheme, _project_datum
+from chapgas.models import Model, gcg_delta_region, shock_radicand
 
 _EPS = 2.220446049250313e-16
 
@@ -391,3 +394,99 @@ def newton_one_to_tol_y(fun, y, lo, hi, capped=True):
             return yn
         y = yn
     raise NumericalLimitError(fvcore._NOT_SETTLED)
+
+
+def same_bits(got, want):
+    """Whether two arrays, or values, have the same dtype, shape and bits."""
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _pressure_two_terms(p: PressureParams, rho):
+    """P(rho) with both terms always computed, the A-term too when A = 0."""
+    return p.A * rho**p.n - p.B * rho ** (-p.alpha)
+
+
+def _cs2_two_terms(p: PressureParams, rho):
+    """c^2(rho) with both terms always computed."""
+    return p.A * p.n * rho ** (p.n - 1.0) + p.alpha * p.B * rho ** (-(p.alpha + 1.0))
+
+
+def _state_flux_guarded(p: PressureParams, rho, u):
+    """The state fluxes (rho u, rho u^2 + P), with P = 0 in empty cells."""
+    mass = rho * u
+    if p.model is Model.TRANSPORT:
+        return mass, mass * u
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pres = np.where(rho > 0.0, _pressure_two_terms(p, rho), 0.0)
+    return mass, mass * u + pres
+
+
+def reference_step(p: PressureParams, rho, mom, dx, cfl, t_left, godunov):
+    """``fvcore.step`` on bare cells, re-padding both fields every step.
+
+    The velocity is a guarded division, the speed scan and the pressure take
+    ``np.errstate`` and ``np.where`` guards against empty cells whatever the
+    field, and the laws compute both terms. Returns what ``fvcore.step``
+    returns, without ghost cells on the new fields.
+    """
+    u = np.divide(mom, rho, out=np.zeros_like(mom), where=rho > 0.0)
+    if p.model is Model.TRANSPORT:
+        smax = float(np.max(np.abs(u)))
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c = np.where(rho > 0.0, np.sqrt(_cs2_two_terms(p, rho)), 0.0)
+        smax = float(np.max(np.abs(u) + c))
+    if not math.isfinite(smax):
+        raise NumericalLimitError("wave speed is not finite")
+    dt = t_left if smax <= 0.0 else min(cfl * dx / smax, t_left)
+    lam = dx / dt
+    rho_p, u_p = (np.concatenate((a[:1], a, a[-1:])) for a in (rho, u))
+    frho_c, fmom_c = _state_flux_guarded(p, rho_p, u_p)
+    lf_rho = 0.5 * (frho_c[:-1] + frho_c[1:]) - 0.5 * lam * (rho_p[1:] - rho_p[:-1])
+    lf_mom = 0.5 * (fmom_c[:-1] + fmom_c[1:]) - 0.5 * lam * (frho_c[1:] - frho_c[:-1])
+    frho, fmom, fallbacks = lf_rho, lf_mom, 0
+    if godunov:
+        rl, rr, ul, ur = rho_p[:-1], rho_p[1:], u_p[:-1], u_p[1:]
+        frho, fmom = frho_c[:-1].copy(), fmom_c[:-1].copy()
+        if p.model is Model.TRANSPORT:
+            delta = ul > ur
+            upwind_right = (ul < 0.0) & ((ul == ur) | (ur <= 0.0))
+            frho = np.where(upwind_right, frho_c[1:], frho)
+            fmom = np.where(upwind_right, fmom_c[1:], fmom)
+            vacuum = (ul < 0.0) & (ur > 0.0)
+            frho[vacuum], fmom[vacuum] = 0.0, 0.0
+        else:
+            trivial = (rl == rr) & (ul == ur)
+            delta = np.zeros_like(trivial)
+            if p.model is Model.GCG:
+                delta = ~trivial & gcg_delta_region(p, rl, ul, rr, ur)
+            cls = ~trivial & ~delta
+            if cls.any():
+                sub = (rl[cls], ul[cls], rr[cls], ur[cls])
+                rs, us = fvcore.star_state(p, *sub)
+                frho[cls], fmom[cls] = _state_flux_guarded(p, *fvcore.sample_classical(p, *sub, rs, us, 0.0))
+        frho, fmom = np.where(delta, lf_rho, frho), np.where(delta, lf_mom, fmom)
+        fallbacks = int(np.count_nonzero(delta))
+    k = dt / dx
+    return rho - k * (frho[1:] - frho[:-1]), mom - k * (fmom[1:] - fmom[:-1]), dt, smax, frho, fmom, fallbacks
+
+
+def reference_evolve(p: PressureParams, left: State, right: State, g):
+    """``fvcheck.evolve``'s march on bare cells with ``reference_step``, for valid data.
+
+    Returns (rho, momentum, steps, boundary mass influx, boundary momentum
+    influx, Godunov fallbacks), as the snapshot of the same run holds them.
+    """
+    rho, mom = _project_datum(left, right, np.linspace(g.x_lo, g.x_hi, g.cells + 1))
+    t, steps, mass_in, mom_in, fallbacks = 0.0, [], 0.0, 0.0, 0
+    while t < g.t_end * (1.0 - 1e-14):
+        rho, mom, dt, smax, frho, fmom, nfall = reference_step(
+            p, rho, mom, g.dx, g.cfl, g.t_end - t, g.scheme is Scheme.GODUNOV_EXACT
+        )
+        fallbacks += nfall
+        mass_in += dt * (frho[0] - frho[-1])
+        mom_in += dt * (fmom[0] - fmom[-1])
+        steps.append((t, dt, smax))
+        t += dt
+    return rho, mom, steps, mass_in, mom_in, fallbacks

@@ -7,6 +7,7 @@ from chapgas import (
     DomainError,
     DomainTooSmallError,
     GridConfig,
+    PositivityError,
     PressureParams,
     Scheme,
     State,
@@ -18,6 +19,8 @@ from chapgas import (
 from chapgas import fvcore
 from chapgas.fvcheck import FieldSnapshot, _GL5_W, _GL5_X
 from chapgas.solver import sample
+
+from oracles import reference_evolve, reference_step, same_bits as _same_bits
 
 
 def _p_ecg():
@@ -230,3 +233,64 @@ def test_godunov_fallback_logged_as_warning(caplog, monkeypatch):
     [record] = [r for r in caplog.records if r.name == "chapgas.fvcheck"]
     assert record.levelno == logging.WARNING
     assert f"at {len(snap.steps)} interface solves" in record.getMessage()
+
+
+_LF = Scheme.LAX_FRIEDRICHS
+
+
+@pytest.mark.parametrize(
+    "p, left, right, g",
+    [
+        # The README model's R1+S2 datum, Godunov.
+        (_p_ecg(), State(1.0, 0.2), State(0.25, -0.32), GridConfig(-0.4, 0.4, 96, 0.9, 0.2)),
+        (PressureParams.gcg(1.0, 0.6), State(1.0, 0.0), State(1.5, 0.4), GridConfig(-0.8, 0.8, 100, 0.45, 0.1)),
+        # GCG region V, a transport delta shock and transport vacuum, Lax-Friedrichs.
+        (PressureParams.gcg(0.1, 0.5), State(1.0, 1.0), State(1.0, -1.0), GridConfig(-2.0, 2.0, 160, 0.9, 1.0, _LF)),
+        (PressureParams.transport(), State(4.0, 0.5), State(1.0, -0.5), GridConfig(-2.0, 2.0, 160, 0.9, 1.0, _LF)),
+        (PressureParams.transport(), State(1.0, -1.0), State(1.0, 1.0), GridConfig(-2.0, 2.0, 160, 0.9, 1.0, _LF)),
+    ],
+    ids=["ecg-r1s2-godunov", "gcg-godunov", "gcg-delta-lf", "transport-delta-lf", "transport-vacuum-lf"],
+)
+def test_evolve_on_padded_fields_is_the_re_padding_reference_bitwise(p, left, right, g):
+    snap = evolve(p, left, right, g)
+    rho, mom, steps, mass_in, mom_in, fallbacks = reference_evolve(p, left, right, g)
+    assert _same_bits(snap.rho, rho) and _same_bits(snap.momentum, mom)
+    assert _same_bits(snap.steps, steps)
+    assert _same_bits(snap.boundary_mass_influx, mass_in)
+    assert _same_bits(snap.boundary_momentum_influx, mom_in)
+    assert snap.godunov_fallbacks == fallbacks
+
+
+@pytest.mark.parametrize(
+    "p, godunov",
+    [(PressureParams.transport(), False), (PressureParams.transport(), True), (PressureParams.gcg(0.5, 0.7), False)],
+    ids=["transport-lf", "transport-godunov", "gcg-lf"],
+)
+def test_step_on_a_field_with_an_empty_cell_is_the_guarded_reference_bitwise(p, godunov):
+    rng = np.random.default_rng(16)
+    rho = rng.uniform(0.1, 3.0, 12)
+    mom = rho * rng.uniform(-2.0, 2.0, 12)
+    rho[5], mom[5] = 0.0, 0.0  # an exactly empty cell
+    got = fvcore.step(p, fvcore._padded(rho), fvcore._padded(mom), 0.1, 0.45, 1.0, godunov)
+    want = reference_step(p, rho, mom, 0.1, 0.45, 1.0, godunov)
+    for field, ref in zip(got[:2], want[:2]):
+        assert _same_bits(field[1:-1], ref)
+        assert field[0] == field[1] and field[-1] == field[-2]  # the ghosts copy the end cells
+    for value, ref in zip(got[2:], want[2:]):
+        assert _same_bits(value, ref)
+
+
+@pytest.mark.parametrize("cell", [0, 7, 39])
+def test_positivity_error_names_the_interior_cell(monkeypatch, cell):
+    real = fvcore.lf_flux
+
+    def draining(p, rho, u, lam):
+        frho, fmom = real(p, rho, u, lam)
+        frho[cell + 1] += 1e3  # out of the cell through its right interface
+        return frho, fmom
+
+    monkeypatch.setattr(fvcore, "lf_flux", draining)
+    g = GridConfig(-2.0, 2.0, 40, 0.9, 1.0, Scheme.LAX_FRIEDRICHS)
+    with pytest.raises(PositivityError) as exc:
+        evolve(PressureParams.gcg(0.1, 0.5), State(1.0, 1.0), State(1.0, -1.0), g)
+    assert exc.value.cell == cell

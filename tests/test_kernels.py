@@ -26,6 +26,7 @@ from oracles import (
     lax_friedrichs_by_sides,
     newton_one_to_tol_y,
     panel_loop_velocity_jump,
+    same_bits as _same_bits,
 )
 
 
@@ -37,11 +38,16 @@ def _flux(p, rho, u):
     return rho * u, rho * u * u + (pressure(p, rho) if rho > 0.0 else 0.0)
 
 
+def _godunov_flux_on_cells(p, rho, u, lam):
+    """``fvcore.godunov_flux`` on bare cells, padded with outflow ghost cells as a run pads them."""
+    return fvcore.godunov_flux(p, fvcore._padded(rho), fvcore._padded(u), lam)
+
+
 def _godunov_interface_flux(p, left, right):
     """Core Godunov flux at the one interior interface of a two-cell grid."""
     rho = np.array([left.rho, right.rho])
     u = np.array([left.u, right.u])
-    frho, fmom, fallbacks = fvcore.godunov_flux(p, rho, u, 10.0)
+    frho, fmom, fallbacks = _godunov_flux_on_cells(p, rho, u, 10.0)
     return frho[1], fmom[1], fallbacks
 
 
@@ -168,11 +174,6 @@ def test_kernel_gcg_closed_forms():
     assert fvcore.velocity_jump(PressureParams.transport(), math.log(0.5), 0.0) == 0.0
 
 
-def _same_bits(got, want):
-    got, want = np.asarray(got), np.asarray(want)
-    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
-
-
 # 346 e-folds take 500 one-octave panels; 0.5 e-folds take one.
 _WIDE = 346.0
 
@@ -247,28 +248,29 @@ def test_kernel_transport_flux_cases():
     p = PressureParams.transport()
     rho = np.array([1.0, 1.0])
     # colliding states: delta at the interface, LF fallback reported
-    frho, fmom, nf = fvcore.godunov_flux(p, rho, np.array([1.0, -1.0]), 10.0)
+    frho, fmom, nf = _godunov_flux_on_cells(p, rho, np.array([1.0, -1.0]), 10.0)
     assert nf == 1
     assert frho[1] == 0.5 * (1.0 - 1.0) - 0.5 * 10.0 * 0.0
     assert fmom[1] == 0.5 * (1.0 + 1.0) - 0.5 * 10.0 * (-1.0 - 1.0)
     # expanding states: vacuum at the interface, zero flux
-    frho, fmom, nf = fvcore.godunov_flux(p, rho, np.array([-1.0, 1.0]), 10.0)
+    frho, fmom, nf = _godunov_flux_on_cells(p, rho, np.array([-1.0, 1.0]), 10.0)
     assert nf == 0
     assert frho[1] == 0.0 and fmom[1] == 0.0
     # both states moving left (right): upwind from the right (left) cell
-    frho, fmom, nf = fvcore.godunov_flux(p, np.array([1.0, 2.0]), np.array([-2.0, -1.0]), 10.0)
+    frho, fmom, nf = _godunov_flux_on_cells(p, np.array([1.0, 2.0]), np.array([-2.0, -1.0]), 10.0)
     assert nf == 0 and frho[1] == -2.0 and fmom[1] == 2.0
-    frho, fmom, nf = fvcore.godunov_flux(p, np.array([1.0, 2.0]), np.array([1.0, 2.0]), 10.0)
+    frho, fmom, nf = _godunov_flux_on_cells(p, np.array([1.0, 2.0]), np.array([1.0, 2.0]), 10.0)
     assert nf == 0 and frho[1] == 1.0 and fmom[1] == 1.0
     # contact: the density jump rides with the common velocity
     for u, want in ((0.5, 1.0 * 0.5), (-0.5, 3.0 * -0.5)):
-        frho, fmom, nf = fvcore.godunov_flux(p, np.array([1.0, 3.0]), np.array([u, u]), 10.0)
+        frho, fmom, nf = _godunov_flux_on_cells(p, np.array([1.0, 3.0]), np.array([u, u]), 10.0)
         assert nf == 0 and frho[1] == want and fmom[1] == want * u
 
 
 def test_kernel_max_speed():
     rho = np.array([1.0, 4.0])
     u = np.array([2.0, -1.0])
+    rho, u = fvcore._padded(rho), fvcore._padded(u)
     assert fvcore.max_abs_speed(PressureParams.transport(), rho, u) == 2.0
     s = fvcore.max_abs_speed(PressureParams.gcg(1.0, 1.0), rho, u)
     assert s == pytest.approx(2.0 + 1.0)  # |u| + sqrt(alpha B) rho^-(alpha+1)/2 at cell 0
@@ -841,7 +843,8 @@ def test_lf_flux_on_padded_fields_is_the_sides_formula_bitwise(p):
     for cells in (1, 2, 7, 64):
         rho, u = _random_grid(rng, p, cells)
         lam = rng.uniform(1.0, 20.0)
-        assert _same_bits(fvcore.lf_flux(p, rho, u, lam), lax_friedrichs_by_sides(p, rho, u, lam))
+        padded = fvcore.lf_flux(p, fvcore._padded(rho), fvcore._padded(u), lam)
+        assert _same_bits(padded, lax_friedrichs_by_sides(p, rho, u, lam))
 
 
 def test_godunov_flux_on_a_transport_grid_with_every_interface_kind():
@@ -851,7 +854,7 @@ def test_godunov_flux_on_a_transport_grid_with_every_interface_kind():
     p = PressureParams.transport()
     rho = np.array([1.0, 1.0, 2.0, 2.0, 1.0])
     u = np.array([-1.0, 1.0, 1.0, -1.0, -1.0])
-    frho, fmom, fallbacks = fvcore.godunov_flux(p, rho, u, 4.0)
+    frho, fmom, fallbacks = _godunov_flux_on_cells(p, rho, u, 4.0)
     assert _same_bits(frho, np.array([-1.0, 0.0, 1.0, 0.0, -1.0, -1.0]))
     assert _same_bits(fmom, np.array([1.0, 0.0, 1.0, 2.0 + 8.0, 1.0, 1.0]))
     assert fallbacks == 1

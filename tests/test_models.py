@@ -16,6 +16,7 @@ from chapgas import (
     sound_speed_sq,
 )
 from chapgas import fvcore
+from chapgas.models import cs2_law, pressure_law
 
 
 def test_pressure_cancels_at_unit_density():
@@ -140,3 +141,28 @@ def test_genuine_nonlinearity_positive_on_ecg_range():
     for _ in range(100):
         p = _random_params(rng)
         assert genuine_nonlinearity_indicator(p, rng.uniform(0.05, 10.0)) > 0.0
+
+
+@pytest.mark.parametrize("B, alpha", [(0.1, 0.5), (1.0, 1.0), (7.0, 0.05), (1e-30, 1.0)])
+def test_laws_without_the_a_term_are_the_two_term_laws_bitwise(B, alpha):
+    # A = 0, n = 1 (GCG): the laws skip the A-term. B = 1e-30 makes
+    # B rho^-alpha underflow to 0 at the dense end, where the sign of the
+    # zero P must still be the two-term law's.
+    rho = np.geomspace(1e-300, 1e300, 601)
+    cases = (
+        (pressure_law, lambda r: 0.0 * r**1.0 - B * r ** (-alpha)),
+        (cs2_law, lambda r: 0.0 * 1.0 * r ** (1.0 - 1.0) + alpha * B * r ** (-(alpha + 1.0))),
+    )
+    for law, two_terms in cases:
+        with np.errstate(over="ignore"):
+            got, want = law(0.0, B, 1.0, alpha, rho), two_terms(rho)
+        assert got.tobytes() == want.tobytes()
+        for r in rho[::20].tolist():
+            try:
+                want = two_terms(r)
+            except OverflowError:
+                with pytest.raises(OverflowError):
+                    law(0.0, B, 1.0, alpha, r)
+                continue
+            got = law(0.0, B, 1.0, alpha, r)
+            assert type(got) is float and np.float64(got).tobytes() == np.float64(want).tobytes()
