@@ -498,6 +498,7 @@ def cmd_fv(problem: Problem, args: argparse.Namespace) -> int:
     sol = solve(problem.params, problem.left, problem.right)
     if args.refine:
         table = []
+        snap = None
         for level in range(4):
             g = GridConfig(
                 grid.x_lo,
@@ -507,8 +508,10 @@ def cmd_fv(problem: Problem, args: argparse.Namespace) -> int:
                 grid.t_end,
                 grid.scheme,
             )
-            snap = evolve(problem.params, problem.left, problem.right, g, sol=sol)
+            snap = evolve(problem.params, problem.left, problem.right, g, sol=sol, coarser=snap)
             rep = _fv_report(problem, sol, g, snap)
+            rep["steps"] = len(snap.steps)
+            rep["steps_from_coarser"] = snap.steps_from_coarser
             table.append(rep)
         orders = []
         if all("l1_rho" in r for r in table):

@@ -103,8 +103,11 @@ _MAX_ITERATIONS = 100
 
 
 def _cs2_terms(p: PressureParams, y):
-    """The two terms of cs2 at rho = e^y."""
-    return p.A * p.n * np.exp((p.n - 1.0) * y), p.alpha * p.B * np.exp(-(p.alpha + 1.0) * y)
+    """The two terms of cs2 at rho = e^y; the A-term is 0.0 when A = 0 (GCG), with the same sums."""
+    t2 = p.alpha * p.B * np.exp(-(p.alpha + 1.0) * y)
+    if p.A == 0.0:
+        return 0.0, t2
+    return p.A * p.n * np.exp((p.n - 1.0) * y), t2
 
 
 def _panel_sums(p: PressureParams, a, h, j=None):

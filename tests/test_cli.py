@@ -240,6 +240,30 @@ def test_fv_refinement_table(tmp_path):
     assert len(rep["orders_rho"]) == 3
 
 
+@pytest.mark.parametrize(
+    "cells, from_coarser",
+    [(12, [0, 3, 6, 13]), (25, [0, 0, 13, 27])],
+    ids=["jump-on-an-edge", "jump-inside-a-cell"],
+)
+def test_fv_refinement_rows_report_steps_from_coarser(tmp_path, cells, from_coarser):
+    doc = {
+        "model": {"tag": "ecg", "A": 0.1, "B": 0.1, "n": 2.0, "alpha": 0.5},
+        "left": {"rho": 1.0, "u": 0.2},
+        "right": {"rho": 0.25, "u": -0.32},
+        "grid": {"x_lo": -0.4, "x_hi": 0.4, "cells": cells, "cfl": 0.9, "t_end": 0.2, "scheme": "godunov"},
+    }
+    path = _write(tmp_path, "fv.json", doc)
+    assert main(["fv", "--file", path, "--refine", "--out", str(tmp_path)]) == EXIT_OK
+    rows = json.loads((tmp_path / "fv_report.json").read_text())["refinement"]
+    assert [r["steps_from_coarser"] for r in rows] == from_coarser
+    assert all(r["steps"] > r["steps_from_coarser"] for r in rows)
+    # The finest row is the single-grid run on as many cells, which reports no step counts.
+    single = _write(tmp_path, "single.json", dict(doc, grid=dict(doc["grid"], cells=8 * cells)))
+    assert main(["fv", "--file", single, "--out", str(tmp_path / "single")]) == EXIT_OK
+    report = json.loads((tmp_path / "single" / "fv_report.json").read_text())
+    assert "steps" not in report and report["l1_rho"] == rows[-1]["l1_rho"]
+
+
 def test_fv_delta_concentration_report(tmp_path):
     path = _write(
         tmp_path,

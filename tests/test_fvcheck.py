@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 
 import numpy as np
@@ -16,7 +17,7 @@ from chapgas import (
     l1_error,
     solve,
 )
-from chapgas import fvcore
+from chapgas import fvcheck, fvcore
 from chapgas.fvcheck import FieldSnapshot, _GL5_W, _GL5_X
 from chapgas.solver import sample
 
@@ -294,3 +295,139 @@ def test_positivity_error_names_the_interior_cell(monkeypatch, cell):
     with pytest.raises(PositivityError) as exc:
         evolve(PressureParams.gcg(0.1, 0.5), State(1.0, 1.0), State(1.0, -1.0), g)
     assert exc.value.cell == cell
+
+
+_BENCH = (_p_ecg(), State(1.0, 0.2), State(0.25, -0.32))
+
+
+def _same_run(seeded, fresh):
+    """Whether two snapshots hold the same run, to the bit."""
+    return (
+        _same_bits(seeded.rho, fresh.rho)
+        and _same_bits(seeded.momentum, fresh.momentum)
+        and _same_bits(seeded.steps, fresh.steps)
+        and _same_bits(seeded.time, fresh.time)
+        and _same_bits(seeded.boundary_mass_influx, fresh.boundary_mass_influx)
+        and _same_bits(seeded.boundary_momentum_influx, fresh.boundary_momentum_influx)
+        and seeded.godunov_fallbacks == fresh.godunov_fallbacks
+    )
+
+
+def _counting_steps(monkeypatch):
+    calls = []
+    real = fvcore.step
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(fvcore, "step", counted)
+    return calls
+
+
+def _grid(g, cells):
+    return dataclasses.replace(g, cells=cells)
+
+
+@pytest.mark.parametrize(
+    "p, left, right, g, computed",
+    [
+        # The benchmark's R1+S2 datum, 12 to 96 cells at CFL 0.9: 52 steps reported.
+        (*_BENCH, GridConfig(-0.4, 0.4, 12, 0.9, 0.2), [4, 4, 8, 14]),
+        # The README model's S1+S2 and R1+R2 data.
+        (_p_ecg(), State(1.0, 1.0), State(1.0, -1.0), GridConfig(-0.4, 0.4, 40, 0.45, 0.2), [34, 48, 95, 188]),
+        (_p_ecg(), State(1.0, -1.0), State(1.0, 1.0), GridConfig(-0.4, 0.4, 40, 0.45, 0.2), [34, 48, 95, 188]),
+        (PressureParams.gcg(1.0, 0.6), State(1.0, 0.0), State(1.5, 0.4), GridConfig(-0.8, 0.8, 20, 0.45, 0.1), [3, 4, 6, 12]),
+        # GCG region V, a transport delta shock and transport vacuum, Lax-Friedrichs.
+        (PressureParams.gcg(0.1, 0.5), State(1.0, 1.0), State(1.0, -1.0), GridConfig(-2.0, 2.0, 20, 0.9, 1.0, _LF), [7, 8, 15, 28]),
+        (PressureParams.transport(), State(4.0, 0.5), State(1.0, -0.5), GridConfig(-2.0, 2.0, 20, 0.9, 1.0, _LF), [3, 4, 7, 12]),
+        (PressureParams.transport(), State(1.0, -1.0), State(1.0, 1.0), GridConfig(-2.0, 2.0, 20, 0.9, 1.0, _LF), [6, 7, 12, 23]),
+        # Off-centre, with the jump on an edge from 24 cells on: the first pair is refused.
+        (*_BENCH, GridConfig(-0.3, 0.5, 12, 0.9, 0.2), [4, 7, 8, 14]),
+    ],
+    ids=[
+        "bench-r1s2", "ecg-s1s2", "ecg-r1r2", "gcg-godunov",
+        "gcg-delta-lf", "transport-delta-lf", "transport-vacuum-lf", "off-centre-12",
+    ],
+)
+def test_seeded_refinement_is_the_fresh_run_bitwise(monkeypatch, p, left, right, g, computed):
+    calls = _counting_steps(monkeypatch)
+    coarser = None
+    for level, want in enumerate(computed):
+        cells = g.cells * 2**level
+        calls.clear()
+        seeded = evolve(p, left, right, _grid(g, cells), coarser=coarser)
+        assert len(calls) == want
+        assert seeded.steps_from_coarser == len(seeded.steps) - want
+        assert _same_run(seeded, evolve(p, left, right, _grid(g, cells)))
+        coarser = seeded
+
+
+def _refused(p, left, right, g, coarser):
+    seeded = evolve(p, left, right, g, coarser=coarser)
+    assert seeded.steps_from_coarser == 0
+    assert _same_run(seeded, evolve(p, left, right, g))
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        # test_cli's refinement table: the jump is inside a cell of the 25-cell grid.
+        GridConfig(-0.4, 0.4, 25, 0.45, 0.1),
+        # Off-centre: the 16-cell grid's edge nearest the jump is at 5.6e-17.
+        GridConfig(-0.3, 0.5, 16, 0.9, 0.2),
+    ],
+    ids=["refinement-table-25", "off-centre-16"],
+)
+def test_seed_from_a_datum_whose_jump_is_inside_a_cell_is_refused(g):
+    _refused(*_BENCH, _grid(g, 2 * g.cells), evolve(*_BENCH, g))
+
+
+def test_seed_whose_halves_would_be_subnormal_is_refused():
+    # The benchmark grid scaled by 5e-307: the finer dx, 1.7e-308, is subnormal.
+    # Scaled by 1e-306 instead, every half is normal and the seed is taken.
+    for scale, taken in [(5e-307, 0), (1e-306, 3)]:
+        g = GridConfig(-0.4 * scale, 0.4 * scale, 12, 0.9, 0.2 * scale)
+        seeded = evolve(*_BENCH, _grid(g, 24), coarser=evolve(*_BENCH, g))
+        assert seeded.steps_from_coarser == taken
+        assert _same_run(seeded, evolve(*_BENCH, _grid(g, 24)))
+
+
+def test_seed_from_another_problem_is_refused():
+    p, left, right = _BENCH
+    g = GridConfig(-0.4, 0.4, 24, 0.9, 0.2)
+    coarser = evolve(p, left, right, _grid(g, 12))
+    assert coarser.checkpoint is not None
+    others = [
+        (p, left, right, dataclasses.replace(g, cfl=0.45)),
+        (p, left, right, dataclasses.replace(g, t_end=0.1)),
+        (p, left, right, dataclasses.replace(g, scheme=_LF)),
+        (p, left, State(0.3, -0.32), g),
+        (PressureParams.ecg(0.1, 0.1, 2.0, 0.6), left, right, g),
+        (p, left, right, _grid(g, 36)),
+        (p, left, right, _grid(g, 12)),
+    ]
+    for other in others:
+        _refused(*other, coarser)
+    _refused(p, left, right, g, dataclasses.replace(coarser, checkpoint=None))
+
+
+def test_seed_offset_needs_the_cells_right_of_the_window_to_hold_its_last_state():
+    # A projected two-state datum always has them; a hand-made finer datum
+    # whose last six cells differ from the window's last cell does not.
+    p, left, right = _BENCH
+    g = GridConfig(-0.4, 0.4, 24, 0.9, 0.2)
+    coarser = evolve(p, left, right, _grid(g, 12))
+    for last, want in [(right, 6), (State(0.3, -0.32), None)]:
+        rho = np.array([left.rho] * 12 + [right.rho] * 6 + [last.rho] * 6)
+        mom = np.array([left.rho * left.u] * 12 + [right.rho * right.u] * 6 + [last.rho * last.u] * 6)
+        lead, trail = fvcheck._end_runs(rho, mom)
+        assert fvcheck._seed_offset(coarser, p, left, right, g, rho, mom, lead, trail) == want
+
+
+def test_checkpoint_is_left_out_of_repr_and_equality():
+    snap = evolve(*_BENCH, GridConfig(-0.4, 0.4, 12, 0.9, 0.2))
+    assert snap.checkpoint is not None and snap.checkpoint.steps == 3
+    assert "checkpoint" not in repr(snap)
+    [ck] = [f for f in dataclasses.fields(FieldSnapshot) if f.name == "checkpoint"]
+    assert not ck.compare

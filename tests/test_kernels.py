@@ -494,6 +494,38 @@ def test_star_state_element_does_not_depend_on_its_batch():
     assert checked >= 2000
 
 
+def _cs2_terms_with_the_zero_a_term(p, y):
+    """``fvcore._cs2_terms`` computing the A-term, 0.0 * exp(0 * y) for GCG, at every y."""
+    return p.A * p.n * np.exp((p.n - 1.0) * y), p.alpha * p.B * np.exp(-(p.alpha + 1.0) * y)
+
+
+def _star_states_both_passes(p, data):
+    """The array pass's star states, and each element's by the scalar pass."""
+    return fvcore.star_state(p, *data), [fvcore.star_state(p, *_arrays(*row)) for row in zip(*data)]
+
+
+def test_gcg_star_states_without_the_zero_a_term_are_bitwise_the_same(monkeypatch):
+    rng = np.random.default_rng(19)
+    # Densities over the range where rho^-(alpha + 1) in c^2 lies within
+    # 1e-300 to 1e300: from 1e-299.7 to 1e299.7 at alpha = 0.001, 1e-150 to 1e150 at alpha = 1.
+    for B, alpha in [(1.0, 0.001), (0.1, 0.3), (1.0, 0.5), (0.5, 1.0)]:
+        p = PressureParams.gcg(B, alpha)
+        hi = 300.0 / (1.0 + alpha)
+        lo = -hi
+        rl, rr = 10.0 ** rng.uniform(lo, hi, (2, 60))
+        rl[:2], rr[:2] = [10.0**lo, 10.0**hi], [10.0**hi, 10.0**lo]
+        # Velocities up to half the region-V asymptote at each side: never a delta shock.
+        ul, ur = rng.uniform(-0.5, 0.5, (2, 60)) * (gcg_asymptote(p, rl), gcg_asymptote(p, rr))
+        data = (rl, ul, rr, ur)
+        got = _star_states_both_passes(p, data)
+        with monkeypatch.context() as m:
+            m.setattr(fvcore, "_cs2_terms", _cs2_terms_with_the_zero_a_term)
+            want = _star_states_both_passes(p, data)
+        assert _same_bits(got[0], want[0])
+        for a, b in zip(got[1], want[1]):
+            assert _same_bits(a, b)
+
+
 def test_fan_state_element_does_not_depend_on_its_batch():
     rng = np.random.default_rng(82)
     checked = 0
