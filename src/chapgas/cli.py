@@ -24,17 +24,17 @@ from . import limits, svgplot
 from .errors import ChapgasError, NumericalLimitError, ScheduleError
 from .fvcheck import FieldSnapshot, GridConfig, Scheme, evolve, l1_error
 from .limits import Schedule, SweepMode, SweepReport
-from .models import Model, PressureParams, State, gcg_asymptote, pressure
+from .models import Model, PressureParams, State, WaveFamily, gcg_asymptote, pressure
 from .solver import (
     DeltaShock,
     RiemannSolution,
     SegmentKind,
     WaveSegment,
+    forward_curve,
     region_of,
     sample_arrays,
     solve,
 )
-from .waves import WaveFamily, curve_one_u, curve_two_u
 
 EXIT_OK = 0
 EXIT_SOFT_FAIL = 1
@@ -536,7 +536,7 @@ def _phase_series(problem: Problem) -> list[svgplot.Series]:
     rho0 = left.rho
     lo, hi = np.geomspace(rho0 * 1e-3, rho0, 160), np.geomspace(rho0, rho0 * 1e3, 160)
     # Each curve in one call: rarefaction and shock branch below and above rho0.
-    one, two = (curve(p, left, np.concatenate([lo, hi])) for curve in (curve_one_u, curve_two_u))
+    one, two = (forward_curve(p, left, np.concatenate([lo, hi]), fam) for fam in WaveFamily)
     series = [
         svgplot.Series(one[:160].tolist(), lo.tolist(), "R1"),
         svgplot.Series(one[160:].tolist(), hi.tolist(), "S1"),

@@ -13,10 +13,6 @@ class UnsupportedModelError(ChapgasError, ValueError):
     """The operation is not defined for the given model tag."""
 
 
-class DegenerateError(ChapgasError, ValueError):
-    """A jump relation degenerated (equal densities across a discontinuity)."""
-
-
 class NumericalLimitError(ChapgasError):
     """A solve ran against the representable-density floor or overflow."""
 

@@ -16,9 +16,8 @@ from enum import Enum
 from typing import Optional
 
 from .errors import DomainError, ScheduleError
-from .models import PressureParams, State, eigenvalues, gcg_delta_region, pressure_law
+from .models import PressureParams, State, eigenvalues, gcg_delta_region, pressure, pressure_law
 from .solver import region_of, solve_ecg, solve_gcg
-from .waves import rh_residuals
 
 
 class SweepMode(Enum):
@@ -275,6 +274,21 @@ def _sweep_points(
         mass, momentum = rho * (s2 - s1), rho * u * (s2 - s1)
         points.append(SweepPoint(A, B, rho, u, s1, s2, arn, mass, momentum))
     return points
+
+
+def rh_residuals(
+    p: PressureParams, left: State, right: State, sigma: float
+) -> tuple[float, float]:
+    """Residuals of sigma*[rho]=[rho u] and sigma*[rho u]=[rho u^2+P]; a delta's weight rates."""
+    drho = right.rho - left.rho
+    dm = right.rho * right.u - left.rho * left.u
+    dflux = (
+        right.rho * right.u**2
+        + pressure(p, right.rho)
+        - left.rho * left.u**2
+        - pressure(p, left.rho)
+    )
+    return sigma * drho - dm, sigma * dm - dflux
 
 
 def _delta_targets(p: PressureParams, left, right, sigma, **limit) -> SweepTargets:

@@ -1,4 +1,4 @@
-"""Equation-of-state family, the pressure law, states and eigenstructure.
+"""Equation-of-state family, the pressure law, states, eigenstructure and the Lax check.
 
 Three model tags are supported:
 
@@ -9,7 +9,8 @@ Three model tags are supported:
 The pressure law and the relations built on it are written once, here, for
 floats and numpy arrays alike: P, c^2, the shock radicand, the GCG
 asymptote and the region-V test on it. ``pressure`` and ``sound_speed_sq``
-are the checked scalar forms.
+are the checked scalar forms; ``lax_check`` tests a shock of either
+``WaveFamily`` against the eigenvalues on its two sides.
 
 Everything here is a pure function of its arguments; parameter and state
 values are immutable and safe to share across threads.
@@ -32,6 +33,11 @@ class Model(Enum):
     ECG = "ecg"
     GCG = "gcg"
     TRANSPORT = "transport"
+
+
+class WaveFamily(Enum):
+    ONE = 1
+    TWO = 2
 
 
 @dataclass(frozen=True)
@@ -174,16 +180,14 @@ def eigenvalues(p: PressureParams, s: State) -> tuple[float, float]:
     return s.u - c, s.u + c
 
 
-def genuine_nonlinearity_indicator(p: PressureParams, rho: float) -> float:
-    """Directional derivative of each eigenvalue along its own eigenvector.
-
-    Positive for every legal ECG parameter set; zero for GCG with alpha = 1,
-    where both fields are linearly degenerate. Not defined for transport.
-    """
+def lax_check(
+    p: PressureParams, fam: WaveFamily, left: State, right: State, sigma: float
+) -> bool:
+    """Lax admissibility of a shock of the given family at speed ``sigma``."""
     if p.model is Model.TRANSPORT:
-        raise UnsupportedModelError("transport has no classical nonlinearity indicator")
-    _check_rho(rho)
-    A, B, n, a = p.A, p.B, p.n, p.alpha
-    num = A * n * (n + 1.0) * rho ** (n + a) + (1.0 - a) * a * B
-    den = 2.0 * math.sqrt((A * n * rho ** (n + a) + a * B) * rho ** (a + 1.0))
-    return num / den
+        raise UnsupportedModelError("transport shocks are delta shocks, not Lax shocks")
+    l1, l2 = eigenvalues(p, left)
+    r1, r2 = eigenvalues(p, right)
+    if fam is WaveFamily.ONE:
+        return sigma < l1 and r1 < sigma < r2
+    return l1 < sigma < l2 and r2 < sigma

@@ -17,7 +17,9 @@ the Godunov flux samples by.
 The phase-plane region of a datum is read from its solution (``region_of``):
 ``classify_ecg`` and ``classify_gcg`` are one solve each, so a region tag
 and the solution's wave pattern agree by construction, and classification
-raises where solving does.
+raises where solving does. ``forward_curve`` is the forward 1- or 2-curve
+through a state on the core's arithmetic, for a float or an array of
+densities; the phase plot draws it.
 """
 
 from __future__ import annotations
@@ -36,8 +38,17 @@ from .errors import (
     NumericalLimitError,
     UnsupportedModelError,
 )
-from .models import Model, PressureParams, State, gcg_delta_region, shock_radicand, sound_speed_sq
-from .waves import WaveFamily, gcg_entropy_window
+from .models import (
+    Model,
+    PressureParams,
+    State,
+    WaveFamily,
+    gcg_asymptote,
+    gcg_delta_region,
+    pressure_law,
+    shock_radicand,
+    sound_speed_sq,
+)
 
 
 class SegmentKind(Enum):
@@ -139,31 +150,31 @@ class RiemannSolution:
         return min(los), max(his)
 
 
-def _adjacent(boundary: tuple[str, ...]) -> str:
-    """The two-wave tag next to boundary data: each wave not named there a rarefaction."""
-    return ("S1" if "S1" in boundary else "R1") + ("S2" if "S2" in boundary else "R2")
-
-
-@dataclass(frozen=True)
-class RegionECG:
-    tag: str  # R1R2 | R1S2 | S1R2 | S1S2 | OnBoundary
-    boundary: tuple[str, ...] = ()
-
-    def resolve(self) -> str:
-        """Boundary data resolved to the adjacent region with a degenerate wave."""
-        return _adjacent(self.boundary) if self.tag == "OnBoundary" else self.tag
-
-
 _GCG_REGIONS = {"R1R2": "I", "R1S2": "II", "S1R2": "III", "S1S2": "IV"}
 
 
 @dataclass(frozen=True)
-class RegionGCG:
-    tag: str  # I | II | III | IV | V | OnBoundary
+class Region:
+    """A phase-plane region: ECG R1R2 | R1S2 | S1R2 | S1S2, GCG I-V, or OnBoundary.
+
+    ``boundary`` names the waves of boundary data; ``gcg`` selects the GCG
+    names I-IV for the two-wave tags.
+    """
+
+    tag: str
     boundary: tuple[str, ...] = ()
+    gcg: bool = False
 
     def resolve(self) -> str:
-        return _GCG_REGIONS[_adjacent(self.boundary)] if self.tag == "OnBoundary" else self.tag
+        """Boundary data resolved to the adjacent region with a degenerate wave.
+
+        That region has a rarefaction for each wave not named in ``boundary``.
+        """
+        if self.tag != "OnBoundary":
+            return self.tag
+        b = self.boundary
+        tag = ("S1" if "S1" in b else "R1") + ("S2" if "S2" in b else "R2")
+        return _GCG_REGIONS[tag] if self.gcg else tag
 
 
 def _constant(state: State, lo: float, hi: float) -> WaveSegment:
@@ -220,6 +231,19 @@ def solve_ecg(p: PressureParams, left: State, right: State) -> RiemannSolution:
     if left == right:
         return RiemannSolution(p, left, right, (_constant(left, -math.inf, math.inf),))
     return _solve_two_wave(p, left, right)
+
+
+def gcg_entropy_window(
+    p: PressureParams, left: State, right: State
+) -> tuple[float, float]:
+    """The admissible delta-shock speed window (lo, hi) for the GCG model.
+
+    That is (lambda2 of the right state, lambda1 of the left state). The GCG
+    sound speed is taken as sqrt(alpha) times the asymptote, which equals
+    sqrt(c^2) and stays finite at small densities where c^2 overflows.
+    """
+    c_left, c_right = (math.sqrt(p.alpha) * gcg_asymptote(p, s.rho) for s in (left, right))
+    return right.u + c_right, left.u - c_left
 
 
 def _gcg_delta(p: PressureParams, left: State, right: State) -> DeltaShock:
@@ -303,8 +327,8 @@ def solve(p: PressureParams, left: State, right: State) -> RiemannSolution:
     return solve_transport(left, right)
 
 
-def region_of(sol: RiemannSolution):
-    """The phase-plane region of an ECG or GCG solution, as a RegionECG or RegionGCG.
+def region_of(sol: RiemannSolution) -> Region:
+    """The phase-plane region of an ECG or GCG solution.
 
     Each wave is typed from the data and rho* by ``fvcore.wave_fronts``,
     the rule ``solve`` kept it by, so GCG alpha = 1 contacts keep their
@@ -317,30 +341,57 @@ def region_of(sol: RiemannSolution):
     p, left, mid, right = sol.params, sol.left, sol.intermediate, sol.right
     if p.model is Model.TRANSPORT:
         raise UnsupportedModelError("transport data have no classical region")
+    gcg = p.model is Model.GCG
     if mid is None and sol.delta is not None:
-        return RegionGCG("V")
+        return Region("V", gcg=gcg)
     fronts = _fronts(p, left, mid, right) if mid is not None else ()
     waves = ["%s%d" % ("R" if rare else "S", k) for k, (kept, rare, _, _) in enumerate(fronts, 1) if kept]
-    region = RegionGCG if p.model is Model.GCG else RegionECG
     if len(waves) < 2:
-        return region("OnBoundary", tuple(waves) or ("R1", "S2"))
+        return Region("OnBoundary", tuple(waves) or ("R1", "S2"), gcg)
     tag = waves[0] + waves[1]
-    return region(_GCG_REGIONS[tag] if region is RegionGCG else tag)
+    return Region(_GCG_REGIONS[tag] if gcg else tag, gcg=gcg)
 
 
-def classify_ecg(p: PressureParams, left: State, right: State) -> RegionECG:
+def classify_ecg(p: PressureParams, left: State, right: State) -> Region:
     """Which two-wave pattern the Riemann datum produces (or OnBoundary): one solve."""
     return region_of(solve_ecg(p, left, right))
 
 
-def classify_gcg(p: PressureParams, left: State, right: State) -> RegionGCG:
+def classify_gcg(p: PressureParams, left: State, right: State) -> Region:
     """Five-region classification for the GCG model: one solve.
 
     Region V is the shock-asymptote criterion ``models.gcg_delta_region``, in
     sqrt(B); the delta-shock entropy window, in sqrt(alpha*B), is
-    ``waves.gcg_entropy_window``.
+    ``gcg_entropy_window``.
     """
     return region_of(solve_gcg(p, left, right))
+
+
+def forward_curve(p: PressureParams, left: State, rho, fam: WaveFamily):
+    """u on the forward curve of family ``fam`` through ``left``: u- - phi.
+
+    The 1-curve is a rarefaction for rho < rho- and a shock above; the
+    2-curve is a shock below and a rarefaction above. phi is one
+    ``fvcore._curve_distance`` call, the core's arithmetic. The 1-curve
+    takes it from rho- to rho. The 2-wave from ``left`` to (rho, u) lies on
+    the backward 2-curve through (rho, u), so the 2-curve takes it from rho
+    to rho-. ``rho`` is a float or an array, and the result takes its shape;
+    a value that is not finite raises NumericalLimitError.
+    """
+    if p.model is Model.TRANSPORT:
+        raise UnsupportedModelError("transport has no classical wave curves")
+    rhos = np.asarray(rho, dtype=float).ravel()
+    if not np.all(rhos > 0.0):
+        raise DomainError(f"density must be positive, got {rho!r}")
+    lefts = np.full(rhos.shape, left.rho)
+    ra, rb = (lefts, rhos) if fam is WaveFamily.ONE else (rhos, lefts)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        base = np.stack([ra, np.log(ra), pressure_law(p.A, p.B, p.n, p.alpha, ra)])[:, None]
+        phi, _ = fvcore._curve_distance(p, base, np.log(rb))
+        u = left.u - phi[0]
+    if not np.all(np.isfinite(u)):
+        raise NumericalLimitError(f"wave curve beyond the float range at rho = {rho!r}")
+    return u.reshape(np.shape(rho)) if np.ndim(rho) else float(u[0])
 
 
 def _fan_states(p: PressureParams, seg: WaveSegment, xi: np.ndarray):

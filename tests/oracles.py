@@ -5,7 +5,7 @@ integrals of the two one-term pressure laws, the quadratic the GCG
 delta-shock speed satisfies, ``fvcore.velocity_jump`` written as one
 Python iteration per panel, the wave curves in scalar floats on
 ``models.shock_radicand`` (not the core's shock arithmetic, which
-``waves`` uses), the intermediate state of a two-wave solution by
+``solver.forward_curve`` uses), the intermediate state of a two-wave solution by
 bisection in rho on the wave-curve mismatch, an independent check of the
 core's Newton, and that Newton's one-element loop with the stopping rule
 it had before trusted steps settled it, and the Lax-Friedrichs interface

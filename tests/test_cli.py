@@ -23,7 +23,7 @@ from chapgas.cli import (
     solution_from_dict,
     solution_to_dict,
 )
-from chapgas.waves import rh_residuals
+from chapgas.limits import rh_residuals
 from oracles import curve_one_u, curve_two_u
 
 

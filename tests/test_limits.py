@@ -24,7 +24,7 @@ from chapgas import (
     threshold_A1,
 )
 from chapgas.limits import Schedule, SweepMode, gcg_two_rarefaction_limit
-from chapgas.waves import gcg_entropy_window
+from chapgas.solver import gcg_entropy_window
 from oracles import delta_speed_quadratic_residual
 
 # (1,1) vs (2,-1), B = 0.01, alpha = 1, n = 2: 2*(4 - 0.01*0.25)/3.

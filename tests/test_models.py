@@ -9,9 +9,7 @@ from chapgas import (
     NumericalLimitError,
     PressureParams,
     State,
-    UnsupportedModelError,
     eigenvalues,
-    genuine_nonlinearity_indicator,
     pressure,
     sound_speed_sq,
 )
@@ -73,14 +71,6 @@ def test_eigenvalues_beyond_the_float_range_are_a_numerical_limit():
         sound_speed_sq(PressureParams.ecg(1.0, 1.0, 3.0, 0.5), 1e200)
 
 
-def test_genuine_nonlinearity():
-    assert genuine_nonlinearity_indicator(PressureParams.gcg(1.0, 1.0), 2.0) == 0.0
-    assert genuine_nonlinearity_indicator(PressureParams.ecg(1, 1, 1, 1), 1.0) > 0.0
-    assert genuine_nonlinearity_indicator(PressureParams.gcg(1.0, 0.5), 1.0) > 0.0
-    with pytest.raises(UnsupportedModelError):
-        genuine_nonlinearity_indicator(PressureParams.transport(), 1.0)
-
-
 def test_param_validation():
     with pytest.raises(DomainError):
         PressureParams.ecg(0.0, 1.0, 2.0, 0.5)
@@ -134,13 +124,6 @@ def test_eigenvalue_ordering_strict():
         s = State(rng.uniform(0.1, 5.0), rng.uniform(-3.0, 3.0))
         lam1, lam2 = eigenvalues(p, s)
         assert lam1 < lam2
-
-
-def test_genuine_nonlinearity_positive_on_ecg_range():
-    rng = np.random.default_rng(9)
-    for _ in range(100):
-        p = _random_params(rng)
-        assert genuine_nonlinearity_indicator(p, rng.uniform(0.05, 10.0)) > 0.0
 
 
 @pytest.mark.parametrize("B, alpha", [(0.1, 0.5), (1.0, 1.0), (7.0, 0.05), (1e-30, 1.0)])

@@ -11,6 +11,7 @@ from chapgas import (
     DomainError,
     Model,
     NoDeltaShockError,
+    NumericalLimitError,
     PressureParams,
     SegmentKind,
     State,
@@ -28,7 +29,7 @@ from chapgas import (
     solve_gcg,
     solve_transport,
 )
-from chapgas.waves import rh_residuals
+from chapgas.limits import rh_residuals
 from oracles import curve_one_u, curve_two_u
 
 # Intermediate densities frozen from independent brute-force oracles
@@ -142,6 +143,27 @@ def test_gcg_delta_weight_at_tiny_densities(scale, weight_rate, sigma):
     assert d is not None
     assert d.weight_rate == pytest.approx(weight_rate, rel=1e-13, abs=0.0)
     assert d.sigma == pytest.approx(sigma, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=NumericalLimitError,
+    reason="the star-state Newton escapes the density range: at 1e300 | 1e299 c^2 "
+    "underflows to 0 on both sides and fvcore._star_guess divides by 0; at "
+    "1e-250 | 1 the iteration leaves the range though c (about 1e187) is finite",
+)
+@pytest.mark.parametrize(
+    "left, right",
+    [(State(1e300, 0.0), State(1e299, 0.0)), (State(1e-250, 0.0), State(1.0, 0.0))],
+    ids=["1e300|1e299", "1e-250|1"],
+)
+def test_gcg_star_density_between_extreme_data(left, right):
+    # Equal velocities: one rarefaction and one shock, so rho* lies strictly
+    # between the two data densities.
+    sol = solve_gcg(PressureParams.gcg(1.0, 0.5), left, right)
+    rho = sol.intermediate.rho
+    assert math.isfinite(rho)
+    assert min(left.rho, right.rho) < rho < max(left.rho, right.rho)
 
 
 def test_transport_symmetric_delta():

@@ -5,8 +5,6 @@ import numpy as np
 import pytest
 
 from chapgas import (
-    DegenerateError,
-    DomainError,
     NumericalLimitError,
     PressureParams,
     State,
@@ -17,12 +15,10 @@ from chapgas import (
     eigenvalues,
     fvcore,
     lax_check,
-    rarefaction_u,
-    shock_speed,
-    shock_u,
     solve_ecg,
 )
-from chapgas.waves import curve_one_u, gcg_entropy_window, rh_residuals
+from chapgas.limits import rh_residuals
+from chapgas.solver import forward_curve, gcg_entropy_window
 
 # Velocity on the 1-rarefaction curve through (1, 0) at rho = 0.5 for
 # A = 1, B = 1, n = 2, alpha = 0.5, frozen from a 2e6-panel midpoint sum.
@@ -48,21 +44,25 @@ def _p_ecg(A=0.1, B=0.1, n=2.0, alpha=0.5):
     return PressureParams.ecg(A, B, n, alpha)
 
 
+def _rh_speed(left, right):
+    return (right.rho * right.u - left.rho * left.u) / (right.rho - left.rho)
+
+
 def test_rarefaction_passes_through_base_point():
     for p in (_p_ecg(), PressureParams.gcg(1.0, 0.7)):
         for fam in WaveFamily:
-            assert rarefaction_u(p, fam, State(1.0, 0.0), 1.0) == 0.0
+            assert forward_curve(p, State(1.0, 0.0), 1.0, fam) == 0.0
 
 
 def test_rarefaction_gcg_closed_form():
     p = PressureParams.gcg(1.0, 1.0)
-    u = rarefaction_u(p, WaveFamily.ONE, State(1.0, 0.0), 0.5)
+    u = forward_curve(p, State(1.0, 0.0), 0.5, WaveFamily.ONE)
     assert u == pytest.approx(1.0, rel=1e-12)  # sqrt(B) * (1/rho - 1/rho_base)
 
 
 def test_rarefaction_ecg_quadrature_vs_oracle():
     p = PressureParams.ecg(1.0, 1.0, 2.0, 0.5)
-    u = rarefaction_u(p, WaveFamily.ONE, State(1.0, 0.0), 0.5)
+    u = forward_curve(p, State(1.0, 0.0), 0.5, WaveFamily.ONE)
     assert u == pytest.approx(RAREF_U_ORACLE, abs=1e-8)
 
 
@@ -84,57 +84,33 @@ def test_velocity_jump_ends():
     assert back == pytest.approx(-jump, rel=1e-14)
 
 
-def test_rarefaction_wrong_side():
-    p = _p_ecg()
-    with pytest.raises(DomainError):
-        rarefaction_u(p, WaveFamily.ONE, State(1.0, 0.0), 2.0)
-    with pytest.raises(DomainError):
-        rarefaction_u(p, WaveFamily.TWO, State(1.0, 0.0), 0.5)
-
-
 def test_shock_continuous_at_base_point():
     p = _p_ecg()
-    u = shock_u(p, WaveFamily.ONE, State(1.0, 0.0), 1.0 + 1e-10)
+    u = forward_curve(p, State(1.0, 0.0), 1.0 + 1e-10, WaveFamily.ONE)
     assert abs(u) < 1e-4
 
 
 def test_shock_gcg_asymptote():
     p = PressureParams.gcg(1.0, 1.0)
-    u = shock_u(p, WaveFamily.ONE, State(1.0, 0.0), 1e8)
+    u = forward_curve(p, State(1.0, 0.0), 1e8, WaveFamily.ONE)
     assert abs(u - (-1.0)) <= 1e-3
 
 
 def test_shock_rh_residual():
     p = PressureParams.ecg(0.1, 0.1, 2.0, 0.5)
     left = State(1.0, 1.0)
-    right = State(4.0, shock_u(p, WaveFamily.ONE, left, 4.0))
-    sigma = shock_speed(p, left, right)
+    right = State(4.0, forward_curve(p, left, 4.0, WaveFamily.ONE))
+    sigma = _rh_speed(left, right)
     r1, r2 = rh_residuals(p, left, right, sigma)
     assert abs(r1) <= 1e-10
     assert abs(r2) <= 1e-10
 
 
-def test_shock_wrong_side():
-    p = _p_ecg()
-    with pytest.raises(DomainError):
-        shock_u(p, WaveFamily.ONE, State(1.0, 0.0), 0.5)
-    with pytest.raises(DomainError):
-        shock_u(p, WaveFamily.TWO, State(1.0, 0.0), 2.0)
-
-
-def test_shock_speed_values():
-    p = _p_ecg()
-    assert shock_speed(p, State(1.0, 1.0), State(2.0, 1.0)) == pytest.approx(1.0)
-    assert shock_speed(p, State(2.0, 0.0), State(1.0, 3.0)) == pytest.approx(-3.0)
-    with pytest.raises(DegenerateError):
-        shock_speed(p, State(1.0, 0.0), State(1.0, 1.0))
-
-
 def test_lax_check_admissible_and_reversed():
     p = _p_ecg()
     left = State(1.0, 0.0)
-    right = State(4.0, shock_u(p, WaveFamily.ONE, left, 4.0))
-    sigma = shock_speed(p, left, right)
+    right = State(4.0, forward_curve(p, left, 4.0, WaveFamily.ONE))
+    sigma = _rh_speed(left, right)
     assert sigma < eigenvalues(p, left)[0]
     assert lax_check(p, WaveFamily.ONE, left, right, sigma)
     assert not lax_check(p, WaveFamily.ONE, right, left, sigma)
@@ -198,13 +174,13 @@ def test_lambda_monotone_along_rarefaction_curves():
         base = State(rng.uniform(0.5, 2.0), rng.uniform(-1.0, 1.0))
         rhos = np.linspace(0.05 * base.rho, base.rho, 100)
         lam1 = [
-            eigenvalues(p, State(r, rarefaction_u(p, WaveFamily.ONE, base, r)))[0]
+            eigenvalues(p, State(r, forward_curve(p, base, r, WaveFamily.ONE)))[0]
             for r in rhos
         ]
         assert all(b < a for a, b in zip(lam1, lam1[1:]))  # decreasing in rho
         rhos2 = np.linspace(base.rho, 4.0 * base.rho, 100)
         lam2 = [
-            eigenvalues(p, State(r, rarefaction_u(p, WaveFamily.TWO, base, r)))[1]
+            eigenvalues(p, State(r, forward_curve(p, base, r, WaveFamily.TWO)))[1]
             for r in rhos2
         ]
         assert all(b > a for a, b in zip(lam2, lam2[1:]))
@@ -216,7 +192,7 @@ def test_one_rarefaction_convex():
         p = _random_ecg(rng)
         base = State(1.0, 0.0)
         rhos = np.linspace(0.1, 1.0, 40)
-        us = [rarefaction_u(p, WaveFamily.ONE, base, r) for r in rhos]
+        us = [forward_curve(p, base, r, WaveFamily.ONE) for r in rhos]
         second = [a - 2.0 * b + c for a, b, c in zip(us, us[1:], us[2:])]
         assert all(d > 0.0 for d in second)
 
@@ -227,10 +203,10 @@ def test_shock_curves_starlike():
         p = _random_ecg(rng)
         base = State(1.0, 0.0)
         rhos = np.linspace(1.01, 8.0, 50)
-        us = [shock_u(p, WaveFamily.ONE, base, r) for r in rhos]
+        us = [forward_curve(p, base, r, WaveFamily.ONE) for r in rhos]
         assert all(b < a for a, b in zip(us, us[1:]))  # u decreasing in rho
         rhos2 = np.linspace(0.99, 0.05, 50)
-        us2 = [shock_u(p, WaveFamily.TWO, base, r) for r in rhos2]
+        us2 = [forward_curve(p, base, r, WaveFamily.TWO) for r in rhos2]
         assert all(b < a for a, b in zip(us2, us2[1:]))  # decreasing as rho drops
 
 
@@ -244,8 +220,8 @@ def test_random_shocks_satisfy_rh_and_lax():
             rho = left.rho * rng.uniform(1.05, 4.0)
         else:
             rho = left.rho * rng.uniform(0.25, 0.95)
-        right = State(rho, shock_u(p, fam, left, rho))
-        sigma = shock_speed(p, left, right)
+        right = State(rho, forward_curve(p, left, rho, fam))
+        sigma = _rh_speed(left, right)
         r1, r2 = rh_residuals(p, left, right, sigma)
         from chapgas import pressure
 
@@ -301,9 +277,9 @@ def test_entropy_window_where_the_squared_sound_speed_overflows():
 def test_curve_one_u_branches():
     p = _p_ecg()
     left = State(1.0, 0.0)
-    assert curve_one_u(p, left, 1.0) == 0.0
-    assert curve_one_u(p, left, 0.5) > 0.0
-    assert curve_one_u(p, left, 2.0) < 0.0
+    assert forward_curve(p, left, 1.0, WaveFamily.ONE) == 0.0
+    assert forward_curve(p, left, 0.5, WaveFamily.ONE) > 0.0
+    assert forward_curve(p, left, 2.0, WaveFamily.ONE) < 0.0
 
 
 @pytest.mark.parametrize(
@@ -317,4 +293,4 @@ def test_curve_one_u_branches():
 )
 def test_shock_curve_beyond_the_float_range_raises_numerical_limit_error(fam, base, rho):
     with pytest.raises(NumericalLimitError):
-        shock_u(_p_ecg(), fam, State(base, 0.0), rho)
+        forward_curve(_p_ecg(), State(base, 0.0), rho, fam)
