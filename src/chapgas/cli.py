@@ -10,12 +10,12 @@ Exit codes: 0 success, 1 soft convergence failure (sweep flags false),
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -23,7 +23,7 @@ import numpy as np
 from . import limits, svgplot
 from .errors import ChapgasError, NumericalLimitError, ScheduleError
 from .fvcheck import FieldSnapshot, GridConfig, Scheme, evolve, l1_error
-from .limits import Schedule, SweepMode, SweepReport
+from .limits import Schedule, SweepMode, SweepPoint, SweepReport
 from .models import Model, PressureParams, State, WaveFamily, gcg_asymptote, pressure
 from .solver import (
     DeltaShock,
@@ -50,7 +50,7 @@ class InputError(Exception):
 # Problem loading
 
 
-@dataclass
+@dataclasses.dataclass
 class Problem:
     params: PressureParams
     left: State
@@ -67,6 +67,8 @@ _TOP_KEYS = {"model", "left", "right", "schedule", "grid"}
 
 
 def _reject_unknown(block: dict, allowed: set, where: str) -> None:
+    if not isinstance(block, dict):
+        raise InputError(f"{where} must hold a JSON object")
     unknown = set(block) - allowed
     if unknown:
         raise InputError(f"unknown key(s) {sorted(unknown)} in {where}")
@@ -108,7 +110,10 @@ def _schedule_from_block(block: dict, params: PressureParams) -> Schedule:
         dec = block["decades"]
         if not (isinstance(dec, list) and len(dec) == 2):
             raise InputError("'decades' must be [k_lo, k_hi]")
-        k_lo, k_hi = int(dec[0]), int(dec[1])
+        try:
+            k_lo, k_hi = int(dec[0]), int(dec[1])
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InputError(f"bad 'decades': {exc}") from exc
         if mode is SweepMode.BOTH_VANISH:
             return Schedule.both_vanish_decades(k_lo, k_hi, params.n, params.alpha)
         if params.B <= 0.0:
@@ -117,7 +122,7 @@ def _schedule_from_block(block: dict, params: PressureParams) -> Schedule:
     pts = block["points"]
     try:
         points = tuple((float(a), float(b)) for a, b in pts)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"bad schedule points: {exc}") from exc
     return Schedule(mode, points, params.n, params.alpha)
 
@@ -139,6 +144,8 @@ def _grid_from_block(block: dict) -> GridConfig:
         )
     except KeyError as exc:
         raise InputError(f"grid block missing {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"bad grid value: {exc}") from exc
 
 
 def load_problem(args: argparse.Namespace) -> Problem:
@@ -153,13 +160,11 @@ def load_problem(args: argparse.Namespace) -> Problem:
             raise InputError(f"cannot read problem file: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise InputError(f"malformed problem file: {exc}") from exc
-        if not isinstance(file_data, dict):
-            raise InputError("problem file must hold a JSON object")
         _reject_unknown(file_data, _TOP_KEYS, "problem file")
 
-    model_block = dict(file_data.get("model", {}))
-    if model_block:
-        _reject_unknown(model_block, _MODEL_KEYS, "model block")
+    model_block = file_data.get("model", {})
+    _reject_unknown(model_block, _MODEL_KEYS, "model block")
+    model_block = dict(model_block)
     if args.model is not None:
         model_block["tag"] = args.model
     for key in ("A", "B", "n", "alpha"):
@@ -176,7 +181,7 @@ def load_problem(args: argparse.Namespace) -> Problem:
             float(model_block.get("n", 1.0)),
             float(model_block.get("alpha", 1.0)),
         )
-    except ChapgasError as exc:
+    except (TypeError, ValueError, OverflowError, ChapgasError) as exc:
         raise InputError(f"invalid model parameters: {exc}") from exc
 
     def _state(block_name: str, flag_value: Optional[str]) -> State:
@@ -188,7 +193,7 @@ def load_problem(args: argparse.Namespace) -> Problem:
         _reject_unknown(block, _STATE_KEYS, f"{block_name} block")
         try:
             return State(float(block["rho"]), float(block["u"]))
-        except (KeyError, ValueError, ChapgasError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError, ChapgasError) as exc:
             raise InputError(f"bad {block_name} state: {exc}") from exc
 
     left = _state("left", args.left)
@@ -280,11 +285,7 @@ def region_label(sol: RiemannSolution) -> str:
         return "constant"
     if sol.params.model is not Model.TRANSPORT:
         return region_of(sol).resolve()
-    if sol.left.u < sol.right.u:
-        return "vacuum"
-    if sol.left.u == sol.right.u:
-        return "contact"
-    return "delta"
+    return sol.segments[1].kind.value
 
 
 def solution_to_dict(sol: RiemannSolution) -> dict:
@@ -424,18 +425,8 @@ def cmd_sweep(problem: Problem, args: argparse.Namespace) -> int:
         with open(_out_path(args, "sweep.json"), "w", encoding="utf-8") as fh:
             fh.write(json.dumps(doc, indent=2) + "\n")
     if _wants(args, "csv"):
-        header = [
-            "A",
-            "B",
-            "rho_star",
-            "u_star",
-            "sigma1",
-            "sigma2",
-            "A_rho_star_n",
-            "mass_proxy",
-            "momentum_proxy",
-        ]
-        rows = [[getattr(pt, h) for h in header] for pt in rep.points]
+        header = [f.name for f in dataclasses.fields(SweepPoint)]
+        rows = [dataclasses.astuple(pt) for pt in rep.points]
         write_csv(_out_path(args, "sweep.csv"), header, rows)
     print(json.dumps({"kind": rep.kind, "flags": rep.flags, "final_errors": rep.final_errors}, indent=2))
     return EXIT_OK if rep.all_converged else EXIT_SOFT_FAIL
@@ -500,14 +491,7 @@ def cmd_fv(problem: Problem, args: argparse.Namespace) -> int:
         table = []
         snap = None
         for level in range(4):
-            g = GridConfig(
-                grid.x_lo,
-                grid.x_hi,
-                grid.cells * 2**level,
-                grid.cfl,
-                grid.t_end,
-                grid.scheme,
-            )
+            g = dataclasses.replace(grid, cells=grid.cells * 2**level)
             snap = evolve(problem.params, problem.left, problem.right, g, sol=sol, coarser=snap)
             rep = _fv_report(problem, sol, g, snap)
             rep["steps"] = len(snap.steps)

@@ -17,7 +17,7 @@ from typing import Optional
 
 from .errors import DomainError, ScheduleError
 from .models import PressureParams, State, eigenvalues, gcg_delta_region, pressure, pressure_law
-from .solver import region_of, solve_ecg, solve_gcg
+from .solver import region_of, solve
 
 
 class SweepMode(Enum):
@@ -141,9 +141,9 @@ def target_transport_delta(left: State, right: State) -> TransportDeltaTarget:
     """Pressureless delta-shock speed and weight rates for u- > u+."""
     if not (left.u > right.u):
         raise DomainError("delta-shock target needs u- > u+")
-    sl, sr = math.sqrt(left.rho), math.sqrt(right.rho)
-    sigma = (sl * left.u + sr * right.u) / (sl + sr)
-    t = _delta_targets(PressureParams.transport(), left, right, sigma)
+    transport = PressureParams.transport()
+    sigma = solve(transport, left, right).delta.sigma
+    t = _delta_targets(transport, left, right, sigma)
     return TransportDeltaTarget(
         sigma, t.weight_rate_1, t.weight_rate_2, t.w1_normalized, t.w2_normalized
     )
@@ -168,7 +168,7 @@ def target_gcg_delta(
     p = PressureParams.gcg(B, alpha)
     if not gcg_delta_region(p, left.rho, left.u, right.rho, right.u):
         raise DomainError("data outside the delta-shock region of the limit model")
-    d = solve_gcg(p, left, right).delta
+    d = solve(p, left, right).delta
     return d.sigma, d.weight_rate
 
 
@@ -262,7 +262,7 @@ def _sweep_points(
     points = []
     for A, B in sched.points:
         p = PressureParams.ecg(A, B, sched.n, sched.alpha)
-        sol = solve_ecg(p, left, right)
+        sol = solve(p, left, right)
         region = region_of(sol).tag
         if region != want:
             raise ScheduleError(
@@ -391,7 +391,7 @@ def run_to_gcg_sweep(
     """
     if sched.mode is not SweepMode.A_VANISHES:
         raise ScheduleError("fixed-B sweep needs an A-vanishes schedule")
-    limit = solve_gcg(PressureParams.gcg(sched.B_fixed, sched.alpha), left, right)
+    limit = solve(PressureParams.gcg(sched.B_fixed, sched.alpha), left, right)
     region = region_of(limit).tag
     if region == "V":
         return _gcg_delta_branch(left, right, sched, tol, limit.delta.sigma)

@@ -5,6 +5,10 @@ constant states, rarefaction fans, shocks, contacts, delta shocks and vacuum
 intervals. Zero-width segments (shock/contact/delta) carry their speed as
 ``xi_lo == xi_hi``.
 
+``solve`` is the one entry point for all three models, and its solution
+carries the ``PressureParams`` it was given. ``_single_wave`` builds every
+one-wave solution: a GCG delta shock, a transport vacuum, contact or delta.
+
 Two-wave solutions take the intermediate state (rho*, u*) from the
 finite-volume core's ``fvcore.star_state`` on one element, its scalar pass:
 safeguarded Newton in y = log rho on the mismatch of the forward 1-curve and
@@ -213,24 +217,20 @@ def _assemble(p: PressureParams, left: State, mid: State, right: State) -> tuple
     return tuple(segs)
 
 
+def _single_wave(
+    p: PressureParams, left: State, right: State, kind: SegmentKind, lo: float, hi: float, delta=None
+) -> RiemannSolution:
+    """A one-wave solution: ``left`` up to ``lo``, one ``kind`` wave on [lo, hi], ``right`` from ``hi``."""
+    wave = WaveSegment(kind, lo, hi, left=left, right=right, delta=delta)
+    segs = (_constant(left, -math.inf, lo), wave, _constant(right, hi, math.inf))
+    return RiemannSolution(p, left, right, segs)
+
+
 @np.errstate(over="ignore", invalid="ignore")  # overflow raises NumericalLimitError
 def _solve_two_wave(p: PressureParams, left: State, right: State) -> RiemannSolution:
     """Intersect the forward 1-curve with the backward 2-curve in the core and assemble."""
     mid = State(*fvcore.star_state(p, left.rho, left.u, right.rho, right.u))
-    return RiemannSolution(
-        p, left, right, _assemble(p, left, mid, right), intermediate=mid
-    )
-
-
-def solve_ecg(p: PressureParams, left: State, right: State) -> RiemannSolution:
-    """Exact Riemann solution for the two-term pressure law (always classical)."""
-    if p.model is not Model.ECG:
-        raise UnsupportedModelError("solve_ecg requires the ECG tag")
-    if left.rho <= 0.0 or right.rho <= 0.0:
-        raise DomainError("Riemann data must have positive densities")
-    if left == right:
-        return RiemannSolution(p, left, right, (_constant(left, -math.inf, math.inf),))
-    return _solve_two_wave(p, left, right)
+    return RiemannSolution(p, left, right, _assemble(p, left, mid, right), intermediate=mid)
 
 
 def gcg_entropy_window(
@@ -246,7 +246,8 @@ def gcg_entropy_window(
     return right.u + c_right, left.u - c_left
 
 
-def _gcg_delta(p: PressureParams, left: State, right: State) -> DeltaShock:
+def _gcg_delta(p: PressureParams, left: State, right: State) -> RiemannSolution:
+    """The GCG delta shock of region-V data."""
     rl, ul, rr, ur = left.rho, left.u, right.rho, right.u
     if rl != rr:
         try:
@@ -260,71 +261,39 @@ def _gcg_delta(p: PressureParams, left: State, right: State) -> DeltaShock:
         wr = rl * ul - rr * ur
         sigma = 0.5 * (ul + ur)
     win_lo, win_hi = gcg_entropy_window(p, left, right)
-    return DeltaShock(sigma, sigma, wr, win_lo < sigma < win_hi)
+    d = DeltaShock(sigma, sigma, wr, win_lo < sigma < win_hi)
+    return _single_wave(p, left, right, SegmentKind.DELTA, sigma, sigma, d)
 
 
-def solve_gcg(p: PressureParams, left: State, right: State) -> RiemannSolution:
-    """Exact Riemann solution for the A = 0 model, including the delta-shock region."""
-    if p.model is not Model.GCG:
-        raise UnsupportedModelError("solve_gcg requires the GCG tag")
-    if left.rho <= 0.0 or right.rho <= 0.0:
-        raise DomainError("Riemann data must have positive densities")
-    if left == right:
-        return RiemannSolution(p, left, right, (_constant(left, -math.inf, math.inf),))
-    if gcg_delta_region(p, left.rho, left.u, right.rho, right.u):
-        d = _gcg_delta(p, left, right)
-        segs = (
-            _constant(left, -math.inf, d.sigma),
-            WaveSegment(
-                SegmentKind.DELTA, d.sigma, d.sigma, left=left, right=right, delta=d
-            ),
-            _constant(right, d.sigma, math.inf),
-        )
-        return RiemannSolution(p, left, right, segs)
-    return _solve_two_wave(p, left, right)
-
-
-def solve_transport(left: State, right: State) -> RiemannSolution:
-    """Pressureless Riemann solution: vacuum fan, contact, or delta shock."""
-    p = PressureParams.transport()
-    if left.rho <= 0.0 or right.rho <= 0.0:
-        raise DomainError("Riemann data must have positive densities")
-    if left == right:
-        return RiemannSolution(p, left, right, (_constant(left, -math.inf, math.inf),))
+def _solve_transport(p: PressureParams, left: State, right: State) -> RiemannSolution:
+    """Pressureless solution: a vacuum fan, a contact, or a delta shock."""
     ul, ur = left.u, right.u
     if ul < ur:
-        segs = (
-            _constant(left, -math.inf, ul),
-            WaveSegment(SegmentKind.VACUUM, ul, ur, left=left, right=right),
-            _constant(right, ur, math.inf),
-        )
-        return RiemannSolution(p, left, right, segs)
+        return _single_wave(p, left, right, SegmentKind.VACUUM, ul, ur)
     if ul == ur:
-        segs = (
-            _constant(left, -math.inf, ul),
-            WaveSegment(SegmentKind.CONTACT, ul, ul, left=left, right=right),
-            _constant(right, ul, math.inf),
-        )
-        return RiemannSolution(p, left, right, segs)
+        return _single_wave(p, left, right, SegmentKind.CONTACT, ul, ul)
     sl, sr = math.sqrt(left.rho), math.sqrt(right.rho)
     sigma = (sl * ul + sr * ur) / (sl + sr)
-    weight_rate = sl * sr * (ul - ur)
-    d = DeltaShock(sigma, sigma, weight_rate, ur < sigma < ul)
-    segs = (
-        _constant(left, -math.inf, sigma),
-        WaveSegment(SegmentKind.DELTA, sigma, sigma, left=left, right=right, delta=d),
-        _constant(right, sigma, math.inf),
-    )
-    return RiemannSolution(p, left, right, segs)
+    d = DeltaShock(sigma, sigma, sl * sr * (ul - ur), ur < sigma < ul)
+    return _single_wave(p, left, right, SegmentKind.DELTA, sigma, sigma, d)
 
 
 def solve(p: PressureParams, left: State, right: State) -> RiemannSolution:
-    """Dispatch on the model tag."""
-    if p.model is Model.ECG:
-        return solve_ecg(p, left, right)
-    if p.model is Model.GCG:
-        return solve_gcg(p, left, right)
-    return solve_transport(left, right)
+    """Exact Riemann solution of the model ``p`` names, carrying ``p`` as given.
+
+    ECG data give two classical waves, as do GCG data outside region V
+    (``models.gcg_delta_region``); region V gives a delta shock, and
+    transport data a vacuum, a contact or a delta shock.
+    """
+    if left.rho <= 0.0 or right.rho <= 0.0:
+        raise DomainError("Riemann data must have positive densities")
+    if left == right:
+        return RiemannSolution(p, left, right, (_constant(left, -math.inf, math.inf),))
+    if p.model is Model.TRANSPORT:
+        return _solve_transport(p, left, right)
+    if p.model is Model.GCG and gcg_delta_region(p, left.rho, left.u, right.rho, right.u):
+        return _gcg_delta(p, left, right)
+    return _solve_two_wave(p, left, right)
 
 
 def region_of(sol: RiemannSolution) -> Region:
@@ -354,7 +323,9 @@ def region_of(sol: RiemannSolution) -> Region:
 
 def classify_ecg(p: PressureParams, left: State, right: State) -> Region:
     """Which two-wave pattern the Riemann datum produces (or OnBoundary): one solve."""
-    return region_of(solve_ecg(p, left, right))
+    if p.model is not Model.ECG:
+        raise UnsupportedModelError("classify_ecg requires the ECG tag")
+    return region_of(solve(p, left, right))
 
 
 def classify_gcg(p: PressureParams, left: State, right: State) -> Region:
@@ -364,7 +335,9 @@ def classify_gcg(p: PressureParams, left: State, right: State) -> Region:
     sqrt(B); the delta-shock entropy window, in sqrt(alpha*B), is
     ``gcg_entropy_window``.
     """
-    return region_of(solve_gcg(p, left, right))
+    if p.model is not Model.GCG:
+        raise UnsupportedModelError("classify_gcg requires the GCG tag")
+    return region_of(solve(p, left, right))
 
 
 def forward_curve(p: PressureParams, left: State, rho, fam: WaveFamily):

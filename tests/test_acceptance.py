@@ -26,9 +26,6 @@ from chapgas import (
     run_vacuum_sweep,
     run_vanishing_pressure_sweep,
     solve,
-    solve_ecg,
-    solve_gcg,
-    solve_transport,
     target_gcg_delta,
     threshold_A0,
     threshold_A1,
@@ -126,7 +123,7 @@ def test_criterion_03_solver_totality_and_consistency():
         p = _random_ecg(rng)
         left = State(rng.uniform(0.2, 3.0), rng.uniform(-2.0, 2.0))
         right = State(rng.uniform(0.2, 3.0), rng.uniform(-2.0, 2.0))
-        sol = solve_ecg(p, left, right)
+        sol = solve(p, left, right)
         ok &= sol.pattern().replace("+", "") == classify_ecg(p, left, right).resolve()
         segs = sol.segments
         for a, b in zip(segs, segs[1:]):
@@ -143,7 +140,7 @@ def test_criterion_03_solver_totality_and_consistency():
 
 
 def test_criterion_04_transport_delta_shock():
-    sol = solve_transport(State(4.0, 2.0), State(1.0, -1.0))
+    sol = solve(PressureParams.transport(), State(4.0, 2.0), State(1.0, -1.0))
     d = sol.delta
     ok = d is not None
     ok &= d.sigma == 1.0
@@ -155,7 +152,7 @@ def test_criterion_04_transport_delta_shock():
 
 def test_criterion_05_gcg_delta_shock():
     p = PressureParams.gcg(0.01, 1.0)
-    sym = solve_gcg(p, State(1.0, 1.0), State(1.0, -1.0))
+    sym = solve(p, State(1.0, 1.0), State(1.0, -1.0))
     ok = sym.delta.sigma == 0.0 and abs(sym.delta.weight_rate - 2.0) <= 1e-14
     left, right = State(2.0, 1.0), State(1.0, -1.0)
     sigma, _ = target_gcg_delta(left, right, 0.001, 1.0)
@@ -276,7 +273,7 @@ def test_criterion_11_finite_volume_cross_check():
     # transport delta datum with Lax-Friedrichs
     g = GridConfig(-2.0, 2.0, 1600, 0.45, 1.0, Scheme.LAX_FRIEDRICHS)
     snap = evolve(PressureParams.transport(), State(1, 1), State(1, -1), g)
-    tsol = solve_transport(State(1, 1), State(1, -1))
+    tsol = solve(PressureParams.transport(), State(1, 1), State(1, -1))
     weight = delta_weight_at(tsol, 1.0)
     window = snap.mass_in_window(0.0, 0.1)
     ok &= abs(window - weight) <= 0.1 * weight

@@ -129,6 +129,56 @@ def test_invalid_model_params_exit_2(tmp_path):
     assert main(args) == EXIT_INPUT
 
 
+_FV_PROBLEM = {
+    "model": {"tag": "ecg", "A": 0.1, "B": 0.1, "n": 2.0, "alpha": 0.5},
+    "left": {"rho": 1.0, "u": 0.2},
+    "right": {"rho": 0.25, "u": -0.32},
+    "grid": {"x_lo": -0.4, "x_hi": 0.4, "cells": 40, "cfl": 0.45, "t_end": 0.2, "scheme": "godunov"},
+}
+
+
+@pytest.mark.parametrize(
+    "command, path, raw",
+    [
+        ("fv", ("model",), '"ecg"'),
+        ("fv", ("left",), "[1, 0]"),
+        ("fv", ("model", "A"), '"x"'),
+        ("fv", ("model", "A"), "null"),
+        ("fv", ("grid", "cells"), '"many"'),
+        ("fv", ("grid", "cells"), "null"),
+        ("fv", ("grid", "cells"), "1e400"),
+        ("sweep", ("schedule",), '{"mode": "both_vanish", "decades": ["a", 3]}'),
+        ("fv", ("left",), "1"),
+        ("fv", ("grid",), "5"),
+        ("fv", ("right", "rho"), "null"),
+    ],
+    ids=[
+        "model-string",
+        "left-list",
+        "A-string",
+        "A-null",
+        "cells-string",
+        "cells-null",
+        "cells-1e400",
+        "decades-string",
+        "left-number",
+        "grid-number",
+        "rho-null",
+    ],
+)
+def test_malformed_problem_blocks_exit_2(tmp_path, capsys, command, path, raw):
+    """The README problem file with one value replaced by the raw JSON ``raw``."""
+    doc = json.loads(json.dumps(_FV_PROBLEM))
+    block = doc
+    for key in path[:-1]:
+        block = block[key]
+    block[path[-1]] = "@"
+    (tmp_path / "prob.json").write_text(json.dumps(doc).replace('"@"', raw))
+    args = [command, "--file", str(tmp_path / "prob.json"), "--out", str(tmp_path)]
+    assert main(args) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("input error:")
+
+
 def test_classify_outputs(tmp_path, capsys):
     assert (
         main(

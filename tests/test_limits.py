@@ -15,8 +15,7 @@ from chapgas import (
     run_vacuum_sweep,
     run_vanishing_pressure_sweep,
     sample,
-    solve_ecg,
-    solve_transport,
+    solve,
     target_A_rho_n,
     target_gcg_delta,
     target_transport_delta,
@@ -175,8 +174,8 @@ def test_vacuum_sweep_direction_check():
 def test_vacuum_profile_smoke():
     """Pointwise comparison against the pressureless limit at 11 stations."""
     p = PressureParams.ecg(1e-7, 1e-7, 2.0, 0.5)
-    sol = solve_ecg(p, State(1, -1), State(1, 1))
-    limit = solve_transport(State(1, -1), State(1, 1))
+    sol = solve(p, State(1, -1), State(1, 1))
+    limit = solve(PressureParams.transport(), State(1, -1), State(1, 1))
     # stations avoid the limit's contact speeds at xi = -1 and +1
     for xi in np.linspace(-2.75, 2.75, 11):
         got = sample(sol, float(xi))
@@ -341,7 +340,7 @@ def test_sweep_report_structure(kind):
     wave = SegmentKind.FAN if kind in ("cavitation", "gcg_rarefaction") else SegmentKind.SHOCK
     for pt in rep.points:
         p = PressureParams.ecg(pt.A, pt.B, sched.n, sched.alpha)
-        w1, w2 = (s for s in solve_ecg(p, left, right).segments if s.kind is wave)
+        w1, w2 = (s for s in solve(p, left, right).segments if s.kind is wave)
         assert (pt.sigma1, pt.sigma2) == (w1.xi_lo, w2.xi_hi)
         if wave is SegmentKind.SHOCK:
             assert (pt.sigma1, pt.sigma2) == (w1.speed, w2.speed)

@@ -9,25 +9,27 @@ from hypothesis import strategies as st
 
 from chapgas import (
     DomainError,
+    GridConfig,
     Model,
     NoDeltaShockError,
     NumericalLimitError,
     PressureParams,
+    Scheme,
     SegmentKind,
     State,
+    UnsupportedModelError,
     WaveFamily,
     classify_ecg,
     classify_gcg,
     delta_weight_at,
     eigenvalues,
+    evolve,
     fvcore,
+    l1_error,
     lax_check,
     pressure,
     sample,
     solve,
-    solve_ecg,
-    solve_gcg,
-    solve_transport,
 )
 from chapgas.limits import rh_residuals
 from oracles import curve_one_u, curve_two_u
@@ -43,21 +45,21 @@ def _p_ecg():
 
 
 def test_equal_states_give_single_constant():
-    sol = solve_ecg(_p_ecg(), State(1.0, 0.0), State(1.0, 0.0))
+    sol = solve(_p_ecg(), State(1.0, 0.0), State(1.0, 0.0))
     assert len(sol.segments) == 1
     assert sol.segments[0].kind is SegmentKind.CONSTANT
     assert sol.pattern() == "constant"
 
 
 def test_symmetric_two_shock():
-    sol = solve_ecg(_p_ecg(), State(1.0, 1.0), State(1.0, -1.0))
+    sol = solve(_p_ecg(), State(1.0, 1.0), State(1.0, -1.0))
     assert sol.pattern() == "S1+S2"
     assert abs(sol.intermediate.u) <= 1e-12
     assert sol.intermediate.rho == pytest.approx(S1S2_RHO_STAR, rel=1e-9)
 
 
 def test_symmetric_two_rarefaction():
-    sol = solve_ecg(_p_ecg(), State(1.0, 0.0), State(1.0, 5.0))
+    sol = solve(_p_ecg(), State(1.0, 0.0), State(1.0, 5.0))
     assert sol.pattern() == "R1+R2"
     assert sol.intermediate.u == pytest.approx(2.5, abs=1e-12)
     assert sol.intermediate.rho == pytest.approx(R1R2_RHO_STAR, abs=1e-9)
@@ -65,7 +67,7 @@ def test_symmetric_two_rarefaction():
 
 def test_gcg_symmetric_delta():
     p = PressureParams.gcg(0.01, 1.0)
-    sol = solve_gcg(p, State(1.0, 1.0), State(1.0, -1.0))
+    sol = solve(p, State(1.0, 1.0), State(1.0, -1.0))
     d = sol.delta
     assert d is not None
     assert d.sigma == 0.0
@@ -75,7 +77,7 @@ def test_gcg_symmetric_delta():
 
 def test_gcg_region_one_intersection():
     p = PressureParams.gcg(1.0, 1.0)
-    sol = solve_gcg(p, State(1.0, 0.0), State(1.0, 3.0))
+    sol = solve(p, State(1.0, 0.0), State(1.0, 3.0))
     assert sol.intermediate.rho == pytest.approx(0.4, abs=1e-9)
     assert sol.intermediate.u == pytest.approx(1.5, abs=1e-12)
     # alpha = 1 waves are contact discontinuities
@@ -85,7 +87,7 @@ def test_gcg_region_one_intersection():
 
 def test_gcg_alpha_below_one_contains_classical_waves():
     p = PressureParams.gcg(1.0, 0.5)
-    sol = solve_gcg(p, State(1.0, 0.5), State(1.0, -0.5))
+    sol = solve(p, State(1.0, 0.5), State(1.0, -0.5))
     assert sol.pattern() == "S1+S2"
     for seg in sol.segments:
         if seg.kind is SegmentKind.SHOCK:
@@ -102,7 +104,7 @@ def test_gcg_delta_generalized_jump_conditions():
         right = State(rng.uniform(0.3, 3.0), -left.u)
         if classify_gcg(p, left, right).tag != "V":
             continue
-        d = solve_gcg(p, left, right).delta
+        d = solve(p, left, right).delta
         drho = right.rho - left.rho
         dm = right.rho * right.u - left.rho * left.u
         dflux = (
@@ -122,7 +124,7 @@ def test_gcg_delta_exactly_in_classified_region_v():
         p = PressureParams.gcg(rng.uniform(1e-3, 1.0), rng.uniform(0.05, 1.0))
         left = State(rng.uniform(0.1, 4.0), rng.uniform(-2.0, 2.0))
         right = State(rng.uniform(0.1, 4.0), rng.uniform(-2.0, 2.0))
-        has_delta = solve_gcg(p, left, right).delta is not None
+        has_delta = solve(p, left, right).delta is not None
         assert has_delta == (classify_gcg(p, left, right).tag == "V")
 
 
@@ -139,7 +141,7 @@ _TINY_GCG_DELTA = [
 def test_gcg_delta_weight_at_tiny_densities(scale, weight_rate, sigma):
     p = PressureParams.gcg(1.0, 0.5)
     u = 2.0 * scale**-0.75
-    d = solve_gcg(p, State(scale, u), State(2.0 * scale, -u)).delta
+    d = solve(p, State(scale, u), State(2.0 * scale, -u)).delta
     assert d is not None
     assert d.weight_rate == pytest.approx(weight_rate, rel=1e-13, abs=0.0)
     assert d.sigma == pytest.approx(sigma, rel=1e-13, abs=0.0)
@@ -160,28 +162,28 @@ def test_gcg_delta_weight_at_tiny_densities(scale, weight_rate, sigma):
 def test_gcg_star_density_between_extreme_data(left, right):
     # Equal velocities: one rarefaction and one shock, so rho* lies strictly
     # between the two data densities.
-    sol = solve_gcg(PressureParams.gcg(1.0, 0.5), left, right)
+    sol = solve(PressureParams.gcg(1.0, 0.5), left, right)
     rho = sol.intermediate.rho
     assert math.isfinite(rho)
     assert min(left.rho, right.rho) < rho < max(left.rho, right.rho)
 
 
 def test_transport_symmetric_delta():
-    sol = solve_transport(State(1.0, 1.0), State(1.0, -1.0))
+    sol = solve(PressureParams.transport(), State(1.0, 1.0), State(1.0, -1.0))
     assert sol.delta.sigma == 0.0
     assert sol.delta.weight_rate == pytest.approx(2.0)
     assert sol.delta.entropy_satisfied
 
 
 def test_transport_asymmetric_delta():
-    sol = solve_transport(State(4.0, 2.0), State(1.0, -1.0))
+    sol = solve(PressureParams.transport(), State(4.0, 2.0), State(1.0, -1.0))
     assert sol.delta.sigma == pytest.approx(1.0, rel=1e-14)
     assert sol.delta.weight_rate == pytest.approx(6.0, rel=1e-14)
     assert -1.0 < sol.delta.sigma < 2.0
 
 
 def test_transport_vacuum():
-    sol = solve_transport(State(1.0, -1.0), State(1.0, 1.0))
+    sol = solve(PressureParams.transport(), State(1.0, -1.0), State(1.0, 1.0))
     vac = [s for s in sol.segments if s.kind is SegmentKind.VACUUM]
     assert len(vac) == 1
     assert vac[0].xi_lo == -1.0
@@ -189,19 +191,19 @@ def test_transport_vacuum():
 
 
 def test_transport_contact():
-    sol = solve_transport(State(2.0, 0.5), State(1.0, 0.5))
+    sol = solve(PressureParams.transport(), State(2.0, 0.5), State(1.0, 0.5))
     assert any(s.kind is SegmentKind.CONTACT for s in sol.segments)
     assert sol.segments[1].speed == 0.5
 
 
 def test_sample_far_left_is_left_state():
-    sol = solve_ecg(_p_ecg(), State(1.0, 1.0), State(1.0, -1.0))
+    sol = solve(_p_ecg(), State(1.0, 1.0), State(1.0, -1.0))
     pt = sample(sol, -1e10)
     assert (pt.rho, pt.u) == (1.0, 1.0)
 
 
 def test_sample_vacuum_interior():
-    sol = solve_transport(State(1.0, -1.0), State(1.0, 1.0))
+    sol = solve(PressureParams.transport(), State(1.0, -1.0), State(1.0, 1.0))
     pt = sample(sol, 0.3)
     assert pt.in_vacuum
     assert pt.rho == 0.0
@@ -209,7 +211,7 @@ def test_sample_vacuum_interior():
 
 
 def test_sample_fan_edge_continuity():
-    sol = solve_ecg(_p_ecg(), State(1.0, 0.0), State(1.0, 5.0))
+    sol = solve(_p_ecg(), State(1.0, 0.0), State(1.0, 5.0))
     fan = next(s for s in sol.segments if s.family is WaveFamily.ONE)
     pt = sample(sol, fan.xi_hi)
     assert pt.rho == pytest.approx(sol.intermediate.rho, abs=1e-8)
@@ -219,11 +221,11 @@ def test_sample_fan_edge_continuity():
 
 
 def test_sample_at_discontinuity_flags_left():
-    sol = solve_transport(State(1.0, 1.0), State(1.0, -1.0))
+    sol = solve(PressureParams.transport(), State(1.0, 1.0), State(1.0, -1.0))
     pt = sample(sol, 0.0)
     assert pt.on_delta and pt.at_discontinuity
     assert (pt.rho, pt.u) == (1.0, 1.0)
-    sol2 = solve_ecg(_p_ecg(), State(1.0, 1.0), State(1.0, -1.0))
+    sol2 = solve(_p_ecg(), State(1.0, 1.0), State(1.0, -1.0))
     s1 = sol2.segments[1].speed
     pt2 = sample(sol2, s1)
     assert pt2.at_discontinuity and not pt2.on_delta
@@ -231,7 +233,7 @@ def test_sample_at_discontinuity_flags_left():
 
 
 def test_sample_continuity_away_from_discontinuities():
-    sol = solve_ecg(_p_ecg(), State(1.0, 0.2), State(0.25, -0.32))
+    sol = solve(_p_ecg(), State(1.0, 0.2), State(0.25, -0.32))
     speeds = [s.xi_lo for s in sol.segments if s.xi_lo == s.xi_hi]
     xis = np.linspace(-1.5, 1.5, 801)
     vals = [sample(sol, float(x)).rho for x in xis]
@@ -242,12 +244,12 @@ def test_sample_continuity_away_from_discontinuities():
 
 
 def test_delta_weight_at():
-    sol = solve_transport(State(1.0, 1.0), State(1.0, -1.0))
+    sol = solve(PressureParams.transport(), State(1.0, 1.0), State(1.0, -1.0))
     assert delta_weight_at(sol, 1.0) == pytest.approx(2.0)
     assert delta_weight_at(sol, 0.0) == 0.0
-    gcg = solve_gcg(PressureParams.gcg(0.01, 1.0), State(1.0, 1.0), State(1.0, -1.0))
+    gcg = solve(PressureParams.gcg(0.01, 1.0), State(1.0, 1.0), State(1.0, -1.0))
     assert delta_weight_at(gcg, 2.0) == pytest.approx(4.0)
-    classical = solve_ecg(_p_ecg(), State(1.0, 1.0), State(1.0, -1.0))
+    classical = solve(_p_ecg(), State(1.0, 1.0), State(1.0, -1.0))
     with pytest.raises(NoDeltaShockError):
         delta_weight_at(classical, 1.0)
     with pytest.raises(DomainError):
@@ -291,7 +293,7 @@ def test_random_solutions_structure_and_admissibility():
         p = _random_ecg(rng)
         left = State(rng.uniform(0.2, 3.0), rng.uniform(-2.0, 2.0))
         right = State(rng.uniform(0.2, 3.0), rng.uniform(-2.0, 2.0))
-        sol = solve_ecg(p, left, right)
+        sol = solve(p, left, right)
         _check_structure(sol)
         for seg in sol.segments:
             if seg.kind is SegmentKind.SHOCK:
@@ -315,7 +317,7 @@ def test_two_shock_intermediate_satisfies_both_jump_relations():
         p = _random_ecg(rng)
         left = State(rng.uniform(0.3, 2.0), rng.uniform(0.5, 2.0))
         right = State(rng.uniform(0.3, 2.0), rng.uniform(-2.0, -0.5))
-        sol = solve_ecg(p, left, right)
+        sol = solve(p, left, right)
         if sol.pattern() != "S1+S2":
             continue
         count += 1
@@ -483,6 +485,33 @@ def test_solve_dispatcher():
     assert solve(_p_ecg(), State(1, 1), State(1, -1)).pattern() == "S1+S2"
     assert solve(PressureParams.transport(), State(1, 1), State(1, -1)).delta
     assert solve(PressureParams.gcg(0.01, 1.0), State(1, 1), State(1, -1)).delta
+
+
+@pytest.mark.parametrize(
+    "left, right, scheme",
+    [
+        (State(1.0, -1.0), State(1.0, 1.0), Scheme.LAX_FRIEDRICHS),
+        (State(2.0, 0.5), State(1.0, 0.5), Scheme.GODUNOV_EXACT),
+    ],
+    ids=["vacuum", "contact"],
+)
+def test_solve_keeps_a_transport_p_as_given(left, right, scheme):
+    p = PressureParams(Model.TRANSPORT, n=2.0)
+    sol = solve(p, left, right)
+    assert sol.params is p
+    snap = evolve(p, left, right, GridConfig(-1.0, 1.0, 40, 0.5, 0.2, scheme), sol=sol)
+    assert all(math.isfinite(e) for e in l1_error(snap, sol))
+
+
+def test_classifiers_reject_the_other_model():
+    left, right = State(1.0, 1.0), State(1.0, -1.0)
+    with pytest.raises(UnsupportedModelError):
+        classify_ecg(PressureParams.gcg(1.0, 0.5), left, right)
+    with pytest.raises(UnsupportedModelError):
+        classify_gcg(_p_ecg(), left, right)
+    for classify in (classify_ecg, classify_gcg):
+        with pytest.raises(UnsupportedModelError):
+            classify(PressureParams.transport(), left, right)
 
 
 def test_readme_library_example_runs(capsys):

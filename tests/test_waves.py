@@ -15,7 +15,7 @@ from chapgas import (
     eigenvalues,
     fvcore,
     lax_check,
-    solve_ecg,
+    solve,
 )
 from chapgas.limits import rh_residuals
 from chapgas.solver import forward_curve, gcg_entropy_window
@@ -129,8 +129,8 @@ def test_classify_ecg_symmetric_data():
     p = _p_ecg()
     assert classify_ecg(p, State(1.0, 0.0), State(1.0, 5.0)).tag == "R1R2"
     assert classify_ecg(p, State(1.0, 0.0), State(1.0, -5.0)).tag == "S1S2"
-    assert solve_ecg(p, State(1.0, 0.0), State(1.0, 5.0)).pattern() == "R1+R2"
-    assert solve_ecg(p, State(1.0, 0.0), State(1.0, -5.0)).pattern() == "S1+S2"
+    assert solve(p, State(1.0, 0.0), State(1.0, 5.0)).pattern() == "R1+R2"
+    assert solve(p, State(1.0, 0.0), State(1.0, -5.0)).pattern() == "S1+S2"
 
 
 def test_classify_gcg_regions():
@@ -244,7 +244,7 @@ def test_classify_matches_solver_pattern():
         left = State(rng.uniform(0.2, 3.0), rng.uniform(-2.0, 2.0))
         right = State(rng.uniform(0.2, 3.0), rng.uniform(-2.0, 2.0))
         region = classify_ecg(p, left, right)
-        sol = solve_ecg(p, left, right)
+        sol = solve(p, left, right)
         assert sol.pattern().replace("+", "") == region.resolve()
 
 
