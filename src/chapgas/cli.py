@@ -59,19 +59,46 @@ class Problem:
     grid: Optional[GridConfig] = None
 
 
-_MODEL_KEYS = {"tag", "A", "B", "n", "alpha"}
+_MODEL_DEFAULTS = {"A": 0.0, "B": 0.0, "n": 1.0, "alpha": 1.0}
+_MODEL_KEYS = {"tag", *_MODEL_DEFAULTS}
 _STATE_KEYS = {"rho", "u"}
 _SCHEDULE_KEYS = {"mode", "decades", "points"}
-_GRID_KEYS = {"x_lo", "x_hi", "cells", "cfl", "t_end", "scheme"}
+_GRID_NUMBERS = ("x_lo", "x_hi", "cells", "cfl", "t_end")
 _TOP_KEYS = {"model", "left", "right", "schedule", "grid"}
 
 
-def _reject_unknown(block: dict, allowed: set, where: str) -> None:
+def _check_block(block: dict, allowed: set, where: str, required=()) -> None:
     if not isinstance(block, dict):
         raise InputError(f"{where} must hold a JSON object")
     unknown = set(block) - allowed
     if unknown:
         raise InputError(f"unknown key(s) {sorted(unknown)} in {where}")
+    missing = [k for k in required if k not in block]
+    if missing:
+        raise InputError(f"{where} missing {missing}")
+
+
+def _number(value, what: str, integral: bool = False):
+    """``value`` read as a JSON number.
+
+    It must not be a bool, a string or null, and it must be finite; with
+    ``integral`` it must also be integral-valued, and comes back an int.
+    """
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not abs(value) <= sys.float_info.max
+        or (integral and value != int(value))
+    ):
+        kind = "an integer" if integral else "a finite number"
+        raise InputError(f"{what} must be {kind}, got {json.dumps(value)}")
+    return int(value) if integral else float(value)
+
+
+def _pair(value, what: str, integral: bool = False) -> tuple:
+    if not (isinstance(value, list) and len(value) == 2):
+        raise InputError(f"{what} must be a pair [a, b], got {json.dumps(value)}")
+    return tuple(_number(v, what, integral) for v in value)
 
 
 def _parse_state_text(txt: str) -> State:
@@ -80,26 +107,12 @@ def _parse_state_text(txt: str) -> State:
         raise InputError(f"state must be 'rho,u', got {txt!r}")
     try:
         return State(float(parts[0]), float(parts[1]))
-    except (ValueError, ChapgasError) as exc:
+    except ValueError as exc:  # float() or the State's DomainError
         raise InputError(f"bad state {txt!r}: {exc}") from exc
 
 
-def _build_params(tag: str, A: float, B: float, n: float, alpha: float) -> PressureParams:
-    try:
-        model = Model(tag)
-    except ValueError as exc:
-        raise InputError(f"unknown model tag {tag!r}") from exc
-    if model is Model.TRANSPORT:
-        return PressureParams.transport()
-    if model is Model.GCG:
-        return PressureParams(Model.GCG, A=0.0, B=B, n=n, alpha=alpha)
-    return PressureParams(Model.ECG, A=A, B=B, n=n, alpha=alpha)
-
-
 def _schedule_from_block(block: dict, params: PressureParams) -> Schedule:
-    _reject_unknown(block, _SCHEDULE_KEYS, "schedule block")
-    if "mode" not in block:
-        raise InputError("schedule block needs a 'mode'")
+    _check_block(block, _SCHEDULE_KEYS, "schedule block", required=("mode",))
     try:
         mode = SweepMode(block["mode"])
     except ValueError as exc:
@@ -107,50 +120,38 @@ def _schedule_from_block(block: dict, params: PressureParams) -> Schedule:
     if ("decades" in block) == ("points" in block):
         raise InputError("schedule block needs exactly one of 'decades' or 'points'")
     if "decades" in block:
-        dec = block["decades"]
-        if not (isinstance(dec, list) and len(dec) == 2):
-            raise InputError("'decades' must be [k_lo, k_hi]")
-        try:
-            k_lo, k_hi = int(dec[0]), int(dec[1])
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise InputError(f"bad 'decades': {exc}") from exc
+        k_lo, k_hi = _pair(block["decades"], "'decades'", integral=True)
         if mode is SweepMode.BOTH_VANISH:
             return Schedule.both_vanish_decades(k_lo, k_hi, params.n, params.alpha)
         if params.B <= 0.0:
             raise InputError("a-vanishes schedule needs model B > 0")
         return Schedule.a_vanishes_decades(params.B, k_lo, k_hi, params.n, params.alpha)
     pts = block["points"]
-    try:
-        points = tuple((float(a), float(b)) for a, b in pts)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"bad schedule points: {exc}") from exc
-    return Schedule(mode, points, params.n, params.alpha)
+    if not isinstance(pts, list):
+        raise InputError(f"'points' must be a list of [A, B] pairs, got {json.dumps(pts)}")
+    return Schedule(mode, tuple(_pair(pt, "schedule point") for pt in pts), params.n, params.alpha)
 
 
 def _grid_from_block(block: dict) -> GridConfig:
-    _reject_unknown(block, _GRID_KEYS, "grid block")
+    _check_block(block, {*_GRID_NUMBERS, "scheme"}, "grid block", required=_GRID_NUMBERS)
     try:
         scheme = Scheme(block.get("scheme", "godunov"))
     except ValueError as exc:
         raise InputError(f"unknown scheme {block.get('scheme')!r}") from exc
-    try:
-        return GridConfig(
-            x_lo=float(block["x_lo"]),
-            x_hi=float(block["x_hi"]),
-            cells=int(block["cells"]),
-            cfl=float(block["cfl"]),
-            t_end=float(block["t_end"]),
-            scheme=scheme,
-        )
-    except KeyError as exc:
-        raise InputError(f"grid block missing {exc}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"bad grid value: {exc}") from exc
+    values = {k: _number(block[k], f"grid '{k}'", integral=k == "cells") for k in _GRID_NUMBERS}
+    return GridConfig(**values, scheme=scheme)
 
 
 def load_problem(args: argparse.Namespace) -> Problem:
+    """The problem the flags and ``--file`` name, flags winning.
+
+    Raises ``InputError``, or the ``ChapgasError`` of a value that the
+    model, state, schedule or grid rejects.
+    """
     if (args.samples or 0) < 0:
         raise InputError(f"--samples must be >= 0, got {args.samples}")
+    if args.t is not None and not 0.0 < args.t < math.inf:
+        raise InputError(f"--t must be finite and positive, got {args.t}")
     file_data: dict = {}
     if args.file:
         try:
@@ -160,57 +161,29 @@ def load_problem(args: argparse.Namespace) -> Problem:
             raise InputError(f"cannot read problem file: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise InputError(f"malformed problem file: {exc}") from exc
-        _reject_unknown(file_data, _TOP_KEYS, "problem file")
+        _check_block(file_data, _TOP_KEYS, "problem file")
 
     model_block = file_data.get("model", {})
-    _reject_unknown(model_block, _MODEL_KEYS, "model block")
-    model_block = dict(model_block)
-    if args.model is not None:
-        model_block["tag"] = args.model
-    for key in ("A", "B", "n", "alpha"):
-        v = getattr(args, key)
-        if v is not None:
-            model_block[key] = v
-    if "tag" not in model_block:
+    _check_block(model_block, _MODEL_KEYS, "model block")
+    if args.model is None and "tag" not in model_block:
         raise InputError("no model given (problem file 'model.tag' or --model)")
-    try:
-        params = _build_params(
-            str(model_block["tag"]),
-            float(model_block.get("A", 0.0)),
-            float(model_block.get("B", 0.0)),
-            float(model_block.get("n", 1.0)),
-            float(model_block.get("alpha", 1.0)),
-        )
-    except (TypeError, ValueError, OverflowError, ChapgasError) as exc:
-        raise InputError(f"invalid model parameters: {exc}") from exc
+    flags = {"tag": args.model, "A": args.A, "B": args.B, "n": args.n, "alpha": args.alpha}
+    params = params_from_dict({**model_block, **{k: v for k, v in flags.items() if v is not None}})
 
-    def _state(block_name: str, flag_value: Optional[str]) -> State:
+    def _state(name: str, flag_value: Optional[str]) -> State:
         if flag_value is not None:
             return _parse_state_text(flag_value)
-        block = file_data.get(block_name)
-        if block is None:
-            raise InputError(f"no {block_name} state given")
-        _reject_unknown(block, _STATE_KEYS, f"{block_name} block")
-        try:
-            return State(float(block["rho"]), float(block["u"]))
-        except (KeyError, TypeError, ValueError, OverflowError, ChapgasError) as exc:
-            raise InputError(f"bad {block_name} state: {exc}") from exc
+        if file_data.get(name) is None:
+            raise InputError(f"no {name} state given")
+        return state_from_dict(file_data[name])
 
     left = _state("left", args.left)
     right = _state("right", args.right)
-
-    schedule = None
+    schedule = grid = None
     if "schedule" in file_data:
-        try:
-            schedule = _schedule_from_block(file_data["schedule"], params)
-        except ScheduleError as exc:
-            raise InputError(f"bad schedule: {exc}") from exc
-    grid = None
+        schedule = _schedule_from_block(file_data["schedule"], params)
     if "grid" in file_data:
-        try:
-            grid = _grid_from_block(file_data["grid"])
-        except ChapgasError as exc:
-            raise InputError(f"bad grid: {exc}") from exc
+        grid = _grid_from_block(file_data["grid"])
     return Problem(params, left, right, schedule, grid)
 
 
@@ -223,7 +196,18 @@ def params_to_dict(p: PressureParams) -> dict:
 
 
 def params_from_dict(d: dict) -> PressureParams:
-    return PressureParams(Model(d["tag"]), A=d["A"], B=d["B"], n=d["n"], alpha=d["alpha"])
+    """A model block read as given, its absent coefficients A = B = 0 and n = alpha = 1.
+
+    ``PressureParams`` checks the values against the tag: nothing is set
+    to what the model needs.
+    """
+    _check_block(d, _MODEL_KEYS, "model block", required=("tag",))
+    try:
+        model = Model(d["tag"])
+    except ValueError as exc:
+        raise InputError(f"unknown model tag {d['tag']!r}") from exc
+    values = {k: _number(d.get(k, v), f"model '{k}'") for k, v in _MODEL_DEFAULTS.items()}
+    return PressureParams(model, **values)
 
 
 def state_to_dict(s: Optional[State]) -> Optional[dict]:
@@ -235,7 +219,8 @@ def state_to_dict(s: Optional[State]) -> Optional[dict]:
 def state_from_dict(d: Optional[dict]) -> Optional[State]:
     if d is None:
         return None
-    return State(d["rho"], d["u"])
+    _check_block(d, _STATE_KEYS, "state block", required=("rho", "u"))
+    return State(_number(d["rho"], "state 'rho'"), _number(d["u"], "state 'u'"))
 
 
 def delta_to_dict(d: Optional[DeltaShock]) -> Optional[dict]:
@@ -356,6 +341,18 @@ def _wants(args: argparse.Namespace, fmt: str) -> bool:
     return args.format is None or args.format == fmt
 
 
+def _json_report(args: argparse.Namespace, name: str, doc: dict) -> str:
+    """``doc`` as indented JSON text, also written to ``name`` in ``--out``.
+
+    Nothing is written when ``--format`` excludes JSON.
+    """
+    text = json.dumps(doc, indent=2)
+    if _wants(args, "json"):
+        with open(_out_path(args, name), "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+    return text
+
+
 def _pressure_column(p: PressureParams, rho: np.ndarray) -> list[float]:
     """``models.pressure`` at each density, and 0 where rho = 0 (only in a vacuum).
 
@@ -388,12 +385,7 @@ def _profile_rows(
 
 def cmd_solve(problem: Problem, args: argparse.Namespace) -> int:
     sol = solve(problem.params, problem.left, problem.right)
-    doc = solution_to_dict(sol)
-    text = json.dumps(doc, indent=2)
-    if _wants(args, "json"):
-        with open(_out_path(args, "solution.json"), "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    print(text)
+    print(_json_report(args, "solution.json", solution_to_dict(sol)))
     if args.samples and _wants(args, "csv"):
         t = args.t if args.t is not None else 1.0
         header, rows = _profile_rows(sol, t, args.samples)
@@ -420,10 +412,7 @@ def _run_sweep(problem: Problem) -> SweepReport:
 
 def cmd_sweep(problem: Problem, args: argparse.Namespace) -> int:
     rep = _run_sweep(problem)
-    doc = sweep_report_to_dict(rep)
-    if _wants(args, "json"):
-        with open(_out_path(args, "sweep.json"), "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(doc, indent=2) + "\n")
+    _json_report(args, "sweep.json", sweep_report_to_dict(rep))
     if _wants(args, "csv"):
         header = [f.name for f in dataclasses.fields(SweepPoint)]
         rows = [dataclasses.astuple(pt) for pt in rep.points]
@@ -507,10 +496,7 @@ def cmd_fv(problem: Problem, args: argparse.Namespace) -> int:
         if _wants(args, "csv"):
             _snapshot_csv(_out_path(args, "snapshot.csv"), snap)
         doc = _fv_report(problem, sol, grid, snap)
-    if _wants(args, "json"):
-        with open(_out_path(args, "fv_report.json"), "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(doc, indent=2) + "\n")
-    print(json.dumps(doc, indent=2))
+    print(_json_report(args, "fv_report.json", doc))
     return EXIT_OK
 
 
@@ -634,7 +620,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
         problem = load_problem(args)
-    except InputError as exc:
+    except (InputError, ChapgasError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:

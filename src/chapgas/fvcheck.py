@@ -21,6 +21,7 @@ end state. ``evolve`` documents the rules that make this exact.
 from __future__ import annotations
 
 import logging
+import math
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
@@ -69,14 +70,14 @@ class GridConfig:
     scheme: Scheme = Scheme.GODUNOV_EXACT
 
     def __post_init__(self):
-        if not (self.x_lo < 0.0 < self.x_hi):
-            raise DomainError("grid must straddle the datum: x_lo < 0 < x_hi")
+        if not (-math.inf < self.x_lo < 0.0 < self.x_hi < math.inf):
+            raise DomainError("grid must be finite and straddle the datum: x_lo < 0 < x_hi")
         if self.cells < 10:
             raise DomainError("need at least 10 cells")
         if not (0.0 < self.cfl <= 0.9):
             raise DomainError("cfl must lie in (0, 0.9]")
-        if not (self.t_end > 0.0):
-            raise DomainError("t_end must be positive")
+        if not (0.0 < self.t_end < math.inf):
+            raise DomainError("t_end must be positive and finite")
 
     @property
     def dx(self) -> float:

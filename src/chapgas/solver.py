@@ -386,6 +386,8 @@ def sample(sol: RiemannSolution, xi: float) -> SamplePoint:
     form uses ``**``, which on a 0-d input can differ in the last bit).
     """
     xi = float(xi)
+    if math.isnan(xi):
+        raise DomainError("xi must not be NaN")
     segs = sol.segments
     seg = next((s for s in segs[:-1] if xi <= s.xi_hi), segs[-1])
     if seg.kind is SegmentKind.VACUUM:
@@ -415,6 +417,8 @@ def sample_arrays(sol: RiemannSolution, xi) -> tuple[np.ndarray, np.ndarray]:
     """
     shape = np.shape(xi)
     xi = np.asarray(xi, dtype=float).ravel()
+    if np.isnan(xi).any():
+        raise DomainError("xi must not be NaN")
     segs = sol.segments
     table = np.array([(s.xi_hi, s.left.rho, s.left.u) for s in segs])
     k = np.searchsorted(table[:-1, 0], xi)
@@ -436,8 +440,8 @@ def sample_arrays(sol: RiemannSolution, xi) -> tuple[np.ndarray, np.ndarray]:
 
 def delta_weight_at(sol: RiemannSolution, t: float) -> float:
     """Weight carried by the delta shock at time t >= 0 (weight_rate * t)."""
-    if t < 0.0:
-        raise DomainError("time must be nonnegative")
+    if not t >= 0.0:
+        raise DomainError(f"time must be nonnegative, got {t!r}")
     d = sol.delta
     if d is None:
         raise NoDeltaShockError("solution carries no delta shock")

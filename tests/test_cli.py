@@ -4,6 +4,7 @@ import math
 import pytest
 
 from chapgas import (
+    Model,
     PressureParams,
     SegmentKind,
     State,
@@ -151,6 +152,14 @@ _FV_PROBLEM = {
         ("fv", ("left",), "1"),
         ("fv", ("grid",), "5"),
         ("fv", ("right", "rho"), "null"),
+        ("fv", ("model", "A"), '"0.1"'),
+        ("fv", ("model", "B"), "true"),
+        ("fv", ("grid", "cells"), "40.7"),
+        ("sweep", ("schedule",), '{"mode": "both_vanish", "decades": [1.9, 7.9]}'),
+        ("fv", ("grid", "x_lo"), "-1e400"),
+        ("fv", ("model",), '{"tag": "gcg", "A": 0.1, "B": 0.1, "alpha": 0.5}'),
+        ("fv", ("model",), '{"tag": "transport", "B": 1}'),
+        ("fv --model gcg --A 0.1", ("model",), '{"tag": "gcg", "B": 0.1, "alpha": 0.5}'),
     ],
     ids=[
         "model-string",
@@ -164,17 +173,28 @@ _FV_PROBLEM = {
         "left-number",
         "grid-number",
         "rho-null",
+        "A-numeric-string",
+        "B-true",
+        "cells-fractional",
+        "decades-fractional",
+        "x_lo-1e400",
+        "gcg-with-A",
+        "transport-with-B",
+        "gcg-with-A-flag",
     ],
 )
 def test_malformed_problem_blocks_exit_2(tmp_path, capsys, command, path, raw):
-    """The README problem file with one value replaced by the raw JSON ``raw``."""
+    """The README problem file with one value replaced by the raw JSON ``raw``.
+
+    ``command`` may carry flags, which override the file's values.
+    """
     doc = json.loads(json.dumps(_FV_PROBLEM))
     block = doc
     for key in path[:-1]:
         block = block[key]
     block[path[-1]] = "@"
     (tmp_path / "prob.json").write_text(json.dumps(doc).replace('"@"', raw))
-    args = [command, "--file", str(tmp_path / "prob.json"), "--out", str(tmp_path)]
+    args = [*command.split(), "--file", str(tmp_path / "prob.json"), "--out", str(tmp_path)]
     assert main(args) == EXIT_INPUT
     assert capsys.readouterr().err.startswith("input error:")
 
@@ -599,6 +619,27 @@ def test_negative_sample_count_is_an_input_error(tmp_path, capsys, command):
     assert main(args + ["--samples", "-5"]) == EXIT_INPUT
     assert "--samples" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("t", ["nan", "inf", "-1", "0"])
+def test_t_must_be_finite_and_positive(tmp_path, capsys, t):
+    args = ["solve", "--model", "transport", "--left", "1,1", "--right", "1,-1", "--out", str(tmp_path)]
+    assert main(args + ["--samples", "3", "--t", t]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("input error: --t must be finite and positive")
+    assert not list(tmp_path.iterdir())
+
+
+def test_transport_model_block_reaches_solution_json_as_written(tmp_path):
+    """A transport block's n and alpha are kept, and ``solution.json`` rebuilds the solution."""
+    model = {"tag": "transport", "n": 2.0}
+    doc = {"model": model, "left": {"rho": 1.0, "u": 1.0}, "right": {"rho": 1.0, "u": -1.0}}
+    assert main(["solve", "--file", _write(tmp_path, "prob.json", doc), "--out", str(tmp_path)]) == EXIT_OK
+    written = json.loads((tmp_path / "solution.json").read_text())
+    assert written["model"] == {"tag": "transport", "A": 0.0, "B": 0.0, "n": 2.0, "alpha": 1.0}
+    p = PressureParams(Model.TRANSPORT, n=2.0)
+    direct = solve(p, State(1.0, 1.0), State(1.0, -1.0))
+    assert solution_from_dict(written) == direct
+    assert solution_from_dict(solution_to_dict(direct)) == direct
 
 
 _CLASSIFY_S1S2 = [

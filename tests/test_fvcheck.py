@@ -39,6 +39,16 @@ def test_grid_validation():
         GridConfig(-1.0, 1.0, 100, 0.5, 0.0)
 
 
+@pytest.mark.parametrize(
+    "x_lo, x_hi, t_end",
+    [(-1.0, 1.0, np.inf), (-np.inf, 1.0, 0.1), (-1.0, np.inf, 0.1)],
+    ids=["t_end-inf", "x_lo-inf", "x_hi-inf"],
+)
+def test_grid_rejects_non_finite_values(x_lo, x_hi, t_end):
+    with pytest.raises(DomainError):
+        GridConfig(x_lo, x_hi, 100, 0.5, t_end)
+
+
 def test_constant_data_stays_constant():
     p = _p_ecg()
     s = State(1.3, 0.4)

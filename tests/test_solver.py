@@ -32,6 +32,7 @@ from chapgas import (
     solve,
 )
 from chapgas.limits import rh_residuals
+from chapgas.solver import sample_arrays
 from oracles import curve_one_u, curve_two_u
 
 # Intermediate densities frozen from independent brute-force oracles
@@ -254,6 +255,31 @@ def test_delta_weight_at():
         delta_weight_at(classical, 1.0)
     with pytest.raises(DomainError):
         delta_weight_at(sol, -1.0)
+
+
+def _readme_r1s2():
+    return solve(_p_ecg(), State(1.0, 0.2), State(0.25, -0.32))
+
+
+def test_sample_rejects_nan_xi():
+    sol = _readme_r1s2()
+    assert (sample(sol, -math.inf).rho, sample(sol, math.inf).rho) == (1.0, 0.25)  # the far field
+    with pytest.raises(DomainError):
+        sample(sol, math.nan)
+
+
+def test_sample_arrays_rejects_nan_xi():
+    sol = _readme_r1s2()
+    rho, u = sample_arrays(sol, [-math.inf, math.inf])  # the far field
+    assert rho.tolist() == [1.0, 0.25] and u.tolist() == [0.2, -0.32]
+    with pytest.raises(DomainError):
+        sample_arrays(sol, [0.0, math.nan])
+
+
+def test_delta_weight_at_rejects_nan_time():
+    sol = solve(PressureParams.transport(), State(4.0, 2.0), State(1.0, -1.0))
+    with pytest.raises(DomainError):
+        delta_weight_at(sol, math.nan)
 
 
 def _random_ecg(rng):
