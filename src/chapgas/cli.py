@@ -1,10 +1,13 @@
 """Command-line surface: solve / classify / sweep / fv / plot.
 
 Problems are described by a JSON file (``--file``) and/or flags; flags win.
-Artifacts are written into ``--out`` (JSON and CSV reports, SVG plots).
+Artifacts are written into ``--out`` (JSON and CSV reports, SVG plots); a
+command that fails writes no file and nothing to stdout.
 
 Exit codes: 0 success, 1 soft convergence failure (sweep flags false),
-2 input error, 3 numerical error.
+2 input error (the flags or problem file, a ``DomainError`` or
+``ScheduleError``, an unwritable ``--out``), 3 numerical error (every other
+``ChapgasError``).
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from . import limits, svgplot
-from .errors import ChapgasError, NumericalLimitError, ScheduleError
+from .errors import ChapgasError, DomainError, NumericalLimitError, ScheduleError
 from .fvcheck import FieldSnapshot, GridConfig, Scheme, evolve, l1_error
 from .limits import Schedule, SweepMode, SweepPoint, SweepReport
 from .models import Model, PressureParams, State, WaveFamily, gcg_asymptote, pressure
@@ -40,6 +43,10 @@ EXIT_OK = 0
 EXIT_SOFT_FAIL = 1
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
+
+# What a command returns: its exit code, its stdout text or None, and the
+# texts of its files by name, which ``main`` writes into ``--out``.
+Outputs = tuple[int, Optional[str], dict[str, str]]
 
 
 class InputError(Exception):
@@ -317,40 +324,19 @@ def sweep_report_to_dict(rep: SweepReport) -> dict:
     }
 
 
-def _fmt17(v: float) -> str:
-    return f"{v:.17g}"
+def _json(doc: dict) -> str:
+    """``doc`` as indented JSON text, one line end closing it."""
+    return json.dumps(doc, indent=2) + "\n"
 
 
-def write_csv(path: str, header: list[str], rows: list[list[float]]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt17(v) for v in row) + "\n")
+def _csv(header: list[str], rows: list[list[float]]) -> str:
+    """CSV text: the header, then one line per row, each float in 17 significant digits."""
+    lines = [",".join(header)] + [",".join(f"{v:.17g}" for v in row) for row in rows]
+    return "".join(line + "\n" for line in lines)
 
 
 # ---------------------------------------------------------------------------
 # Commands
-
-
-def _out_path(args: argparse.Namespace, name: str) -> str:
-    os.makedirs(args.out, exist_ok=True)
-    return os.path.join(args.out, name)
-
-
-def _wants(args: argparse.Namespace, fmt: str) -> bool:
-    return args.format is None or args.format == fmt
-
-
-def _json_report(args: argparse.Namespace, name: str, doc: dict) -> str:
-    """``doc`` as indented JSON text, also written to ``name`` in ``--out``.
-
-    Nothing is written when ``--format`` excludes JSON.
-    """
-    text = json.dumps(doc, indent=2)
-    if _wants(args, "json"):
-        with open(_out_path(args, name), "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    return text
 
 
 def _pressure_column(p: PressureParams, rho: np.ndarray) -> list[float]:
@@ -383,19 +369,18 @@ def _profile_rows(
     return ["x", "xi", "rho", "u", "pressure"], rows
 
 
-def cmd_solve(problem: Problem, args: argparse.Namespace) -> int:
+def cmd_solve(problem: Problem, args: argparse.Namespace) -> Outputs:
     sol = solve(problem.params, problem.left, problem.right)
-    print(_json_report(args, "solution.json", solution_to_dict(sol)))
-    if args.samples and _wants(args, "csv"):
+    text = _json(solution_to_dict(sol))
+    files = {"solution.json": text}
+    if args.samples:
         t = args.t if args.t is not None else 1.0
-        header, rows = _profile_rows(sol, t, args.samples)
-        write_csv(_out_path(args, "profile.csv"), header, rows)
-    return EXIT_OK
+        files["profile.csv"] = _csv(*_profile_rows(sol, t, args.samples))
+    return EXIT_OK, text, files
 
 
-def cmd_classify(problem: Problem, args: argparse.Namespace) -> int:
-    print(region_label(solve(problem.params, problem.left, problem.right)))
-    return EXIT_OK
+def cmd_classify(problem: Problem, args: argparse.Namespace) -> Outputs:
+    return EXIT_OK, region_label(solve(problem.params, problem.left, problem.right)) + "\n", {}
 
 
 def _run_sweep(problem: Problem) -> SweepReport:
@@ -410,21 +395,13 @@ def _run_sweep(problem: Problem) -> SweepReport:
     return limits.run_to_gcg_sweep(left, right, sched)
 
 
-def cmd_sweep(problem: Problem, args: argparse.Namespace) -> int:
+def cmd_sweep(problem: Problem, args: argparse.Namespace) -> Outputs:
     rep = _run_sweep(problem)
-    _json_report(args, "sweep.json", sweep_report_to_dict(rep))
-    if _wants(args, "csv"):
-        header = [f.name for f in dataclasses.fields(SweepPoint)]
-        rows = [dataclasses.astuple(pt) for pt in rep.points]
-        write_csv(_out_path(args, "sweep.csv"), header, rows)
-    print(json.dumps({"kind": rep.kind, "flags": rep.flags, "final_errors": rep.final_errors}, indent=2))
-    return EXIT_OK if rep.all_converged else EXIT_SOFT_FAIL
-
-
-def _snapshot_csv(path: str, snap: FieldSnapshot) -> None:
-    pval = _pressure_column(snap.params, snap.rho)
-    rows = np.column_stack([snap.x, snap.rho, snap.momentum, snap.velocity, pval]).tolist()
-    write_csv(path, ["x", "rho", "momentum", "u", "pressure"], rows)
+    header = [f.name for f in dataclasses.fields(SweepPoint)]
+    rows = [dataclasses.astuple(pt) for pt in rep.points]
+    files = {"sweep.json": _json(sweep_report_to_dict(rep)), "sweep.csv": _csv(header, rows)}
+    summary = _json({"kind": rep.kind, "flags": rep.flags, "final_errors": rep.final_errors})
+    return EXIT_OK if rep.all_converged else EXIT_SOFT_FAIL, summary, files
 
 
 def _fv_report(
@@ -471,7 +448,7 @@ def _background_mass(problem: Problem, center: float, w: float) -> float:
     )
 
 
-def cmd_fv(problem: Problem, args: argparse.Namespace) -> int:
+def cmd_fv(problem: Problem, args: argparse.Namespace) -> Outputs:
     grid = problem.grid
     if grid is None:
         raise InputError("fv needs a grid block in the problem file")
@@ -491,13 +468,16 @@ def cmd_fv(problem: Problem, args: argparse.Namespace) -> int:
             for a, b in zip(table, table[1:]):
                 orders.append(math.log2(a["l1_rho"] / b["l1_rho"]))
         doc = {"refinement": table, "orders_rho": orders}
+        files = {}
     else:
         snap = evolve(problem.params, problem.left, problem.right, grid, sol=sol)
-        if _wants(args, "csv"):
-            _snapshot_csv(_out_path(args, "snapshot.csv"), snap)
+        pval = _pressure_column(snap.params, snap.rho)
+        rows = np.column_stack([snap.x, snap.rho, snap.momentum, snap.velocity, pval]).tolist()
+        files = {"snapshot.csv": _csv(["x", "rho", "momentum", "u", "pressure"], rows)}
         doc = _fv_report(problem, sol, grid, snap)
-    print(_json_report(args, "fv_report.json", doc))
-    return EXIT_OK
+    text = _json(doc)
+    files["fv_report.json"] = text
+    return EXIT_OK, text, files
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -524,37 +504,34 @@ def _phase_series(problem: Problem) -> list[svgplot.Series]:
     return series
 
 
-def cmd_plot(problem: Problem, args: argparse.Namespace) -> int:
-    if not _wants(args, "svg"):
-        raise InputError("plot emits SVG; do not restrict --format to json/csv")
+def cmd_plot(problem: Problem, args: argparse.Namespace) -> Outputs:
     sol = solve(problem.params, problem.left, problem.right)
     t = args.t if args.t is not None else 1.0
     samples = args.samples if args.samples else 400
     _, rows = _profile_rows(sol, t, samples)
     xi = [r[1] for r in rows]
-    svgplot.write(
-        _out_path(args, "profile_rho.svg"),
-        [svgplot.Series(xi, [r[2] for r in rows], "rho")],
-        f"density profile ({problem.params.model.value})",
-        "xi = x/t",
-        "rho",
-    )
-    svgplot.write(
-        _out_path(args, "profile_u.svg"),
-        [svgplot.Series(xi, [r[3] for r in rows], "u")],
-        f"velocity profile ({problem.params.model.value})",
-        "xi = x/t",
-        "u",
-    )
+    files = {
+        "profile_rho.svg": svgplot.render(
+            [svgplot.Series(xi, [r[2] for r in rows], "rho")],
+            f"density profile ({problem.params.model.value})",
+            "xi = x/t",
+            "rho",
+        ),
+        "profile_u.svg": svgplot.render(
+            [svgplot.Series(xi, [r[3] for r in rows], "u")],
+            f"velocity profile ({problem.params.model.value})",
+            "xi = x/t",
+            "u",
+        ),
+    }
     if problem.params.model in (Model.ECG, Model.GCG):
-        svgplot.write(
-            _out_path(args, "phase.svg"),
+        files["phase.svg"] = svgplot.render(
             _phase_series(problem),
             f"wave curves through the left state ({problem.params.model.value})",
             "u",
             "rho",
         )
-    return EXIT_OK
+    return EXIT_OK, None, files
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +564,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--t", type=float, help="time for x = xi*t columns/plots")
         sp.add_argument("--samples", type=int, help="number of xi samples")
         sp.add_argument("--out", default=".", help="output directory")
-        sp.add_argument("--format", choices=["json", "csv", "svg"])
         if name == "fv":
             sp.add_argument(
                 "--refine",
@@ -619,21 +595,21 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:  # argparse uses its own exit codes
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
-        problem = load_problem(args)
-    except (InputError, ChapgasError) as exc:
+        code, out, files = _COMMANDS[args.command](load_problem(args), args)
+        if files:
+            os.makedirs(args.out, exist_ok=True)
+        for name, text in files.items():
+            with open(os.path.join(args.out, name), "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+    except (InputError, DomainError, ScheduleError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        return _COMMANDS[args.command](problem, args)
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ScheduleError as exc:
-        print(f"schedule error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except ChapgasError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    if out is not None:
+        print(out, end="")
+    return code
 
 
 def console_main() -> None:  # pragma: no cover - thin wrapper

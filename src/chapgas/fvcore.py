@@ -741,14 +741,16 @@ def godunov_flux(p: PressureParams, rho, u, lam):
     """Godunov fluxes at all interfaces of padded fields, and how many fell back to Lax-Friedrichs.
 
     Interfaces whose Riemann problem has a delta shock (transport with
-    u_l > u_r, GCG in the delta region) take the Lax-Friedrichs flux;
-    vacuum and contact transport interfaces take the upwind flux.
+    u_l - u_r past ``DEGENERATE_RTOL * (1 + |u_l| + |u_r|)``, GCG in the
+    delta region) take the Lax-Friedrichs flux; vacuum and contact transport
+    interfaces take the upwind flux, contacts also where rounding leaves
+    u_l an ulp above u_r.
     """
     frho_c, fmom_c = _state_flux(p, rho, u)
     rl, rr, ul, ur = rho[:-1], rho[1:], u[:-1], u[1:]
     frho, fmom = frho_c[:-1].copy(), fmom_c[:-1].copy()
     if p.model is Model.TRANSPORT:
-        delta = ul > ur
+        delta = ul - ur > DEGENERATE_RTOL * (1.0 + np.abs(ul) + np.abs(ur))
         upwind_right = (ul < 0.0) & ((ul == ur) | (ur <= 0.0))
         frho = np.where(upwind_right, frho_c[1:], frho)
         fmom = np.where(upwind_right, fmom_c[1:], fmom)

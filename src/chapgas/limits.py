@@ -71,15 +71,28 @@ class Schedule:
     def both_vanish_decades(
         cls, k_lo: int, k_hi: int, n: float, alpha: float
     ) -> "Schedule":
-        pts = [(10.0**-k, 10.0**-k) for k in range(k_lo, k_hi + 1)]
+        pts = [(a, a) for a in _decades(k_lo, k_hi)]
         return cls(SweepMode.BOTH_VANISH, tuple(pts), n, alpha)
 
     @classmethod
     def a_vanishes_decades(
         cls, B: float, k_lo: int, k_hi: int, n: float, alpha: float
     ) -> "Schedule":
-        pts = [(10.0**-k, B) for k in range(k_lo, k_hi + 1)]
+        pts = [(a, B) for a in _decades(k_lo, k_hi)]
         return cls(SweepMode.A_VANISHES, tuple(pts), n, alpha)
+
+
+def _decades(k_lo: int, k_hi: int) -> list[float]:
+    """10**-k for k from ``k_lo`` to ``k_hi``.
+
+    10**-k is a positive float for -308 <= k <= 323: beyond, it overflows
+    or rounds to 0, and a ``ScheduleError`` names the decade before any
+    point is built.
+    """
+    for k in (k_lo, k_hi):
+        if not -308 <= k <= 323:
+            raise ScheduleError(f"decade {k}: 10**{-k} is beyond the float range")
+    return [10.0**-k for k in range(k_lo, k_hi + 1)]
 
 
 @dataclass(frozen=True)

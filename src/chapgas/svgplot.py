@@ -139,8 +139,3 @@ def render(series: list[Series], title: str, xlabel: str, ylabel: str) -> str:
             legend_y += 16
     parts.append("</svg>")
     return "\n".join(parts)
-
-
-def write(path, series: list[Series], title: str, xlabel: str, ylabel: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render(series, title, xlabel, ylabel))

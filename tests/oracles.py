@@ -450,7 +450,7 @@ def reference_step(p: PressureParams, rho, mom, dx, cfl, t_left, godunov):
         rl, rr, ul, ur = rho_p[:-1], rho_p[1:], u_p[:-1], u_p[1:]
         frho, fmom = frho_c[:-1].copy(), fmom_c[:-1].copy()
         if p.model is Model.TRANSPORT:
-            delta = ul > ur
+            delta = ul - ur > fvcore.DEGENERATE_RTOL * (1.0 + np.abs(ul) + np.abs(ur))
             upwind_right = (ul < 0.0) & ((ul == ur) | (ur <= 0.0))
             frho = np.where(upwind_right, frho_c[1:], frho)
             fmom = np.where(upwind_right, fmom_c[1:], fmom)

@@ -5,6 +5,7 @@ import pytest
 
 from chapgas import (
     Model,
+    NumericalLimitError,
     PressureParams,
     SegmentKind,
     State,
@@ -160,6 +161,7 @@ _FV_PROBLEM = {
         ("fv", ("model",), '{"tag": "gcg", "A": 0.1, "B": 0.1, "alpha": 0.5}'),
         ("fv", ("model",), '{"tag": "transport", "B": 1}'),
         ("fv --model gcg --A 0.1", ("model",), '{"tag": "gcg", "B": 0.1, "alpha": 0.5}'),
+        ("sweep", ("schedule",), '{"mode": "both_vanish", "decades": [-400, 1]}'),
     ],
     ids=[
         "model-string",
@@ -181,6 +183,7 @@ _FV_PROBLEM = {
         "gcg-with-A",
         "transport-with-B",
         "gcg-with-A-flag",
+        "decades-beyond-float-range",
     ],
 )
 def test_malformed_problem_blocks_exit_2(tmp_path, capsys, command, path, raw):
@@ -685,3 +688,89 @@ def test_solution_without_waves_is_labelled_constant(tmp_path, capsys, model, le
     assert main(["solve", *data, "--out", str(tmp_path)]) == EXIT_OK
     doc = json.loads((tmp_path / "solution.json").read_text())
     assert (doc["region"], doc["pattern"]) == ("constant", "constant")
+
+
+_GCG_V = ["--model", "gcg", "--B", "0.1", "--alpha", "0.5", "--left", "1,1", "--right", "1,-1"]
+
+
+def _one_input_error_line(err):
+    assert err.startswith("input error:")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("solve --samples 10", _FV_PROBLEM),
+        (
+            "sweep",
+            dict(
+                _FV_PROBLEM,
+                left={"rho": 1.0, "u": 1.0},
+                right={"rho": 1.0, "u": -1.0},
+                schedule={"mode": "both_vanish", "decades": [1, 3]},
+            ),
+        ),
+        ("fv", _FV_PROBLEM),
+        ("fv --refine", _FV_PROBLEM),
+        ("plot", _FV_PROBLEM),
+    ],
+    ids=["solve", "sweep", "fv", "fv-refine", "plot"],
+)
+def test_out_under_a_regular_file_exits_2(tmp_path, capsys, command, doc):
+    path = _write(tmp_path, "prob.json", doc)
+    out_dir = str(tmp_path / "prob.json" / "sub")
+    assert main([*command.split(), "--file", path, "--out", out_dir]) == EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == ""
+    _one_input_error_line(err)
+    assert out_dir in err
+
+
+@pytest.mark.parametrize("command", ["solve", "classify"])
+@pytest.mark.parametrize("model", [_README_ECG, ["--model", "transport"]], ids=["ecg", "transport"])
+def test_zero_density_datum_exits_2(tmp_path, capsys, command, model):
+    args = [command, *model, "--left", "0,1", "--right", "1,1", "--out", str(tmp_path / "out")]
+    assert main(args) == EXIT_INPUT
+    _one_input_error_line(capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "model, left, right",
+    [
+        ({"tag": "gcg", "B": 0.1, "alpha": 0.5}, (1.0, 1.0), (1.0, -1.0)),  # region V, a delta shock
+        ({"tag": "transport"}, (1.0, -1.0), (1.0, 1.0)),  # vacuum
+    ],
+    ids=["gcg-region-V", "transport-vacuum"],
+)
+def test_godunov_on_data_it_cannot_flux_exits_2(tmp_path, capsys, model, left, right):
+    doc = dict(_FV_PROBLEM, model=model, left=dict(rho=left[0], u=left[1]), right=dict(rho=right[0], u=right[1]))
+    args = ["fv", "--file", _write(tmp_path, "prob.json", doc), "--out", str(tmp_path / "out")]
+    assert main(args) == EXIT_INPUT
+    _one_input_error_line(capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, failing",
+    [("plot", "_phase_series"), ("solve --samples 10", "_pressure_column")],
+)
+def test_failed_command_writes_no_file_and_no_stdout(tmp_path, capsys, monkeypatch, command, failing):
+    # Both fail after the outputs before them (two profile SVGs; the solution) are built.
+    def fail(*args):
+        raise NumericalLimitError("injected")
+
+    monkeypatch.setattr(cli, failing, fail)
+    assert main([*command.split(), *_GCG_V, "--out", str(tmp_path)]) == EXIT_NUMERICAL
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "numerical error: injected\n")
+    assert not list(tmp_path.iterdir())
+
+
+def test_format_option_is_refused(tmp_path, capsys):
+    args = ["solve", *_GCG_V, "--out", str(tmp_path), "--format", "json"]
+    assert main(args) == EXIT_INPUT
+    assert "unrecognized arguments: --format" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())

@@ -246,6 +246,21 @@ def test_godunov_fallback_logged_as_warning(caplog, monkeypatch):
     assert f"at {len(snap.steps)} interface solves" in record.getMessage()
 
 
+@pytest.mark.parametrize(
+    "left, right",
+    [(State(2.0, -0.3), State(1.0, -0.3)), (State(1.0, 0.1), State(3.0, 0.1))],
+    ids=["moving-left", "moving-right"],
+)
+def test_godunov_transport_contact_never_falls_back(caplog, left, right):
+    # After the first update u = m/rho drifts by an ulp, which must not read
+    # as u_l > u_r, a delta shock fluxed with Lax-Friedrichs.
+    g = GridConfig(-1.0, 1.0, 200, 0.9, 0.5)
+    with caplog.at_level(logging.WARNING, logger="chapgas.fvcheck"):
+        snap = evolve(PressureParams.transport(), left, right, g)
+    assert snap.godunov_fallbacks == 0
+    assert not [r for r in caplog.records if r.name == "chapgas.fvcheck"]
+
+
 _LF = Scheme.LAX_FRIEDRICHS
 
 

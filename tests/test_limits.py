@@ -124,6 +124,20 @@ def test_schedule_validation():
         Schedule(SweepMode.BOTH_VANISH, ((0.1, 0.1), (-0.01, 0.01)), 2.0, 0.5)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Schedule.both_vanish_decades(-400, 1, 2.0, 0.5),
+        lambda: Schedule.a_vanishes_decades(0.1, -400, 1, 2.0, 0.5),
+    ],
+    ids=["both-vanish", "a-vanishes"],
+)
+def test_decades_beyond_the_float_range_are_schedule_errors(build):
+    # 10.0**400 overflows: the decade is named, not an OverflowError raised.
+    with pytest.raises(ScheduleError, match="decade -400"):
+        build()
+
+
 def test_concentration_sweep_reference():
     sched = Schedule.both_vanish_decades(1, 7, 2.0, 0.5)
     rep = run_vanishing_pressure_sweep(State(1, 1), State(1, -1), sched)
