@@ -25,7 +25,7 @@ import numpy as np
 
 from . import limits, svgplot
 from .errors import ChapgasError, DomainError, NumericalLimitError, ScheduleError
-from .fvcheck import FieldSnapshot, GridConfig, Scheme, evolve, l1_error
+from .fvcheck import FieldSnapshot, GridConfig, Scheme, evolve, l1_error, l1_errors
 from .limits import Schedule, SweepMode, SweepPoint, SweepReport
 from .models import Model, PressureParams, State, WaveFamily, gcg_asymptote, pressure
 from .solver import (
@@ -155,8 +155,8 @@ def load_problem(args: argparse.Namespace) -> Problem:
     Raises ``InputError``, or the ``ChapgasError`` of a value that the
     model, state, schedule or grid rejects.
     """
-    if (args.samples or 0) < 0:
-        raise InputError(f"--samples must be >= 0, got {args.samples}")
+    if args.samples is not None and args.samples < 1:
+        raise InputError(f"--samples must be >= 1, got {args.samples}")
     if args.t is not None and not 0.0 < args.t < math.inf:
         raise InputError(f"--t must be finite and positive, got {args.t}")
     file_data: dict = {}
@@ -405,7 +405,11 @@ def cmd_sweep(problem: Problem, args: argparse.Namespace) -> Outputs:
 
 
 def _fv_report(
-    problem: Problem, sol: RiemannSolution, grid: GridConfig, snap: FieldSnapshot
+    problem: Problem,
+    sol: RiemannSolution,
+    grid: GridConfig,
+    snap: FieldSnapshot,
+    l1: Optional[tuple[float, float]] = None,
 ) -> dict:
     mass0 = _initial_mass(problem, grid)
     report: dict = {
@@ -419,7 +423,7 @@ def _fv_report(
         / max(abs(mass0), 1e-300),
     }
     if sol.delta is None:
-        err_rho, err_mom = l1_error(snap, sol)
+        err_rho, err_mom = l1 or l1_error(snap, sol)
         report["l1_rho"] = err_rho
         report["l1_momentum"] = err_mom
     else:
@@ -454,12 +458,16 @@ def cmd_fv(problem: Problem, args: argparse.Namespace) -> Outputs:
         raise InputError("fv needs a grid block in the problem file")
     sol = solve(problem.params, problem.left, problem.right)
     if args.refine:
+        grids = [dataclasses.replace(grid, cells=grid.cells * 2**level) for level in range(4)]
+        snaps: list[FieldSnapshot] = []
+        for g in grids:
+            coarser = snaps[-1] if snaps else None
+            snaps.append(evolve(problem.params, problem.left, problem.right, g, sol=sol, coarser=coarser))
+        # The exact solution is sampled once, for every grid.
+        errors = l1_errors(snaps, sol) if sol.delta is None else [None] * len(snaps)
         table = []
-        snap = None
-        for level in range(4):
-            g = dataclasses.replace(grid, cells=grid.cells * 2**level)
-            snap = evolve(problem.params, problem.left, problem.right, g, sol=sol, coarser=snap)
-            rep = _fv_report(problem, sol, g, snap)
+        for g, snap, l1 in zip(grids, snaps, errors):
+            rep = _fv_report(problem, sol, g, snap, l1)
             rep["steps"] = len(snap.steps)
             rep["steps_from_coarser"] = snap.steps_from_coarser
             table.append(rep)

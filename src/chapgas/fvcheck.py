@@ -15,7 +15,12 @@ cell edge: halving dx halves dt = cfl dx / smax, and with them t, without
 rounding, while dt/dx, each wave speed and each interface flux stay as they
 were. So step j on 2N cells is step j on N cells, counted in cells from the
 jump, until the waves reach a cell whose neighbour differs from the datum's
-end state. ``evolve`` documents the rules that make this exact.
+end state. ``evolve`` documents the rules that make this exact. The finer
+run's first step of its own, from the coarser run's checkpoint, reuses the
+interface fluxes the coarser run computed on the same fields.
+
+``l1_errors`` compares the grids of a refinement with the exact solution
+in one sampling call.
 """
 
 from __future__ import annotations
@@ -93,7 +98,10 @@ class Checkpoint:
     their end cell. ``rho`` and ``mom`` are the padded fields ``fvcore.step``
     returned for that step, held and not copied. ``influx_rates`` are the
     boundary flux differences (mass, momentum) of that step, which are those
-    of the datum's end states at every step up to j.
+    of the datum's end states at every step up to j. ``fluxes`` are the
+    interface fluxes (frho, fmom) of step j + 1, the step taken from these
+    fields, or None when that step was not Godunov or fluxed an interface
+    with Lax-Friedrichs (whose flux depends on dt/dx), or was never taken.
     """
 
     grid: GridConfig
@@ -103,6 +111,7 @@ class Checkpoint:
     steps: int
     influx_rates: tuple[float, float]
     fallbacks: int
+    fluxes: Optional[tuple[np.ndarray, np.ndarray]]
 
 
 @dataclass
@@ -250,7 +259,11 @@ def evolve(
     datum elsewhere, t and the first j steps' (t, dt) halved, their wave
     speeds and the fallback count as they were, and the boundary influx of
     those j steps summed as a fresh run sums it, from the checkpoint's
-    influx rates and the halved time steps. It steps on from there.
+    influx rates and the halved time steps. It steps on from there. When
+    the checkpoint holds the fluxes of the coarser step taken from it, the
+    first step here takes them, on the window, and the window's end fluxes
+    to the left and right of it: those are the fluxes of the datum's end
+    states, which fill every cell outside the window.
     """
     if sol is None:
         sol = solve(p, left, right)
@@ -279,6 +292,7 @@ def evolve(
     mass_in = 0.0
     mom_in = 0.0
     fallbacks = 0
+    fluxes = None
     seed = None if coarser is None else _seed_offset(coarser, p, left, right, g, rho, mom, lead, trail)
     if seed is not None:
         c = coarser.checkpoint
@@ -289,15 +303,20 @@ def evolve(
             mass_in += dt * c.influx_rates[0]
             mom_in += dt * c.influx_rates[1]
         t, fallbacks = 0.5 * c.time, c.fallbacks
+        if c.fluxes is not None:
+            ends = (seed, g.cells - c.grid.cells - seed)
+            fluxes = tuple(np.pad(f, ends, mode="edge") for f in c.fluxes)
     from_coarser = len(steps)
     rho, mom = fvcore._padded(rho), fvcore._padded(mom)
     ck = None if seed is None else (rho, mom, t, from_coarser, c.influx_rates, fallbacks)
+    ck_fluxes = None
     limit = min(lead, trail)
     while t < g.t_end * (1.0 - 1e-14):
         t_left = g.t_end - t
         rho, mom, dt, smax, frho, fmom, nfall = fvcore.step(
-            p, rho, mom, dx, g.cfl, t_left, godunov
+            p, rho, mom, dx, g.cfl, t_left, godunov, fluxes
         )
+        fluxes = None
         fallbacks += nfall
         worst = int(rho[1:-1].argmin())
         if rho[worst + 1] < 0.0:
@@ -308,10 +327,12 @@ def evolve(
         rate_m, rate_p = frho[0] - frho[-1], fmom[0] - fmom[-1]
         mass_in += dt * rate_m
         mom_in += dt * rate_p
+        if ck is not None and ck[3] == len(steps) and godunov and not nfall:
+            ck_fluxes = (frho, fmom)  # this step started from the checkpoint
         steps.append((t, dt, smax))
         t += dt
         if len(steps) < limit and dt < t_left:
-            ck = (rho, mom, t, len(steps), (rate_m, rate_p), fallbacks)
+            ck, ck_fluxes = (rho, mom, t, len(steps), (rate_m, rate_p), fallbacks), None
         if len(steps) > _MAX_STEPS:
             raise NumericalLimitError("step budget exhausted")
     if fallbacks:
@@ -334,8 +355,37 @@ def evolve(
         boundary_momentum_influx=mom_in,
         godunov_fallbacks=fallbacks,
         steps_from_coarser=from_coarser,
-        checkpoint=None if ck is None else Checkpoint(g, *ck),
+        checkpoint=None if ck is None else Checkpoint(g, *ck, ck_fluxes),
     )
+
+
+def l1_errors(snaps: list[FieldSnapshot], sol: RiemannSolution) -> list[tuple[float, float]]:
+    """``l1_error`` of each snapshot, from one sampling call over all of them.
+
+    Sampling is elementwise, so each grid's values, and its sums, are those
+    of ``l1_error`` on that grid alone, to the bit.
+    """
+    if sol.delta is not None:
+        raise UnsupportedComparisonError("L1 error undefined against a delta shock")
+    for snap in snaps:
+        if sol.params != snap.params or sol.left != snap.left or sol.right != snap.right:
+            raise DomainError("snapshot and solution describe different problems")
+        if snap.time <= 0.0:
+            raise DomainError("snapshot time must be positive")
+    xi = np.concatenate([(s.x[:, None] + 0.5 * s.dx * _GL5_X) / s.time for s in snaps])
+    rho_all, u_all = sample_arrays(sol, xi)
+    ends = np.cumsum([s.x.size for s in snaps])[:-1]
+    errors = []
+    for snap, rho, u in zip(snaps, np.split(rho_all, ends), np.split(u_all, ends)):
+        avg_r = np.zeros(snap.x.shape)
+        avg_m = np.zeros(snap.x.shape)
+        for k in range(_GL5_X.size):
+            avg_r += _GL5_W[k] * rho[:, k]
+            avg_m += _GL5_W[k] * rho[:, k] * u[:, k]
+        err_rho = float(np.sum(np.abs(snap.rho - 0.5 * avg_r))) * snap.dx
+        err_mom = float(np.sum(np.abs(snap.momentum - 0.5 * avg_m))) * snap.dx
+        errors.append((err_rho, err_mom))
+    return errors
 
 
 def l1_error(snap: FieldSnapshot, sol: RiemannSolution) -> tuple[float, float]:
@@ -343,21 +393,6 @@ def l1_error(snap: FieldSnapshot, sol: RiemannSolution) -> tuple[float, float]:
 
     Exact cell averages come from 5-point quadrature of the sampled solution.
     Undefined against a delta-shock solution (the exact object is a measure).
+    ``l1_errors`` does the same for several snapshots at once.
     """
-    if sol.delta is not None:
-        raise UnsupportedComparisonError("L1 error undefined against a delta shock")
-    if sol.params != snap.params or sol.left != snap.left or sol.right != snap.right:
-        raise DomainError("snapshot and solution describe different problems")
-    t = snap.time
-    if t <= 0.0:
-        raise DomainError("snapshot time must be positive")
-    half = 0.5 * snap.dx
-    rho, u = sample_arrays(sol, (snap.x[:, None] + half * _GL5_X) / t)
-    avg_r = np.zeros(snap.x.shape)
-    avg_m = np.zeros(snap.x.shape)
-    for k in range(_GL5_X.size):
-        avg_r += _GL5_W[k] * rho[:, k]
-        avg_m += _GL5_W[k] * rho[:, k] * u[:, k]
-    err_rho = float(np.sum(np.abs(snap.rho - 0.5 * avg_r))) * snap.dx
-    err_mom = float(np.sum(np.abs(snap.momentum - 0.5 * avg_m))) * snap.dx
-    return err_rho, err_mom
+    return l1_errors([snap], sol)[0]

@@ -774,13 +774,16 @@ def godunov_flux(p: PressureParams, rho, u, lam):
     return frho, fmom, int(np.count_nonzero(delta))
 
 
-def step(p: PressureParams, rho, mom, dx: float, cfl: float, t_left: float, godunov: bool):
+def step(p: PressureParams, rho, mom, dx: float, cfl: float, t_left: float, godunov: bool, fluxes=None):
     """One conservative update of padded fields (``_padded``), at the CFL time step capped by ``t_left``.
 
     Returns (rho, mom, dt, smax, frho, fmom, fallbacks): the new cell
     averages, padded, with the end cells copied into the ghosts; the step
     taken, the largest wave speed, the interface fluxes and the number of
-    Godunov interfaces fluxed with Lax-Friedrichs.
+    Godunov interfaces fluxed with Lax-Friedrichs. ``fluxes``, when given,
+    are the interface fluxes (frho, fmom) of these fields, computed before
+    and used in place of the flux call; smax and dt still come from the
+    fields.
     """
     full = rho > 0.0
     u = mom / rho if _all(full) else np.divide(mom, rho, out=np.zeros_like(mom), where=full)  # 0 in empty cells
@@ -789,7 +792,9 @@ def step(p: PressureParams, rho, mom, dx: float, cfl: float, t_left: float, godu
         raise NumericalLimitError("wave speed is not finite")
     dt = t_left if smax <= 0.0 else min(cfl * dx / smax, t_left)
     lam = dx / dt
-    if godunov:
+    if fluxes is not None:
+        (frho, fmom), fallbacks = fluxes, 0
+    elif godunov:
         frho, fmom, fallbacks = godunov_flux(p, rho, u, lam)
     else:
         (frho, fmom), fallbacks = lf_flux(p, rho, u, lam), 0

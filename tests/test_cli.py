@@ -4,11 +4,14 @@ import math
 import pytest
 
 from chapgas import (
+    GridConfig,
     Model,
     NumericalLimitError,
     PressureParams,
     SegmentKind,
     State,
+    evolve,
+    l1_error,
     lax_check,
     pressure,
     sample,
@@ -337,6 +340,24 @@ def test_fv_refinement_rows_report_steps_from_coarser(tmp_path, cells, from_coar
     assert "steps" not in report and report["l1_rho"] == rows[-1]["l1_rho"]
 
 
+def test_fv_refinement_rows_read_the_l1_error_of_a_plain_run(tmp_path):
+    doc = {
+        "model": {"tag": "ecg", "A": 0.1, "B": 0.1, "n": 2.0, "alpha": 0.5},
+        "left": {"rho": 1.0, "u": 0.2},
+        "right": {"rho": 0.25, "u": -0.32},
+        "grid": {"x_lo": -0.4, "x_hi": 0.4, "cells": 12, "cfl": 0.9, "t_end": 0.2, "scheme": "godunov"},
+    }
+    path = _write(tmp_path, "fv.json", doc)
+    assert main(["fv", "--file", path, "--refine", "--out", str(tmp_path)]) == EXIT_OK
+    rows = json.loads((tmp_path / "fv_report.json").read_text())["refinement"]
+    p = PressureParams.ecg(0.1, 0.1, 2.0, 0.5)
+    left, right = State(1.0, 0.2), State(0.25, -0.32)
+    sol = solve(p, left, right)
+    for row in rows:
+        snap = evolve(p, left, right, GridConfig(-0.4, 0.4, row["cells"], 0.9, 0.2))
+        assert (row["l1_rho"], row["l1_momentum"]) == l1_error(snap, sol)
+
+
 def test_fv_delta_concentration_report(tmp_path):
     path = _write(
         tmp_path,
@@ -621,6 +642,15 @@ def test_negative_sample_count_is_an_input_error(tmp_path, capsys, command):
     args = [command, *_README_ECG, "--left", "1,1", "--right", "1,-1", "--out", str(tmp_path)]
     assert main(args + ["--samples", "-5"]) == EXIT_INPUT
     assert "--samples" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["solve", "plot"])
+def test_zero_sample_count_is_an_input_error(tmp_path, capsys, command):
+    # solve wrote no profile and plot drew 400 samples for --samples 0.
+    args = [command, *_README_ECG, "--left", "1,1", "--right", "1,-1", "--out", str(tmp_path)]
+    assert main(args + ["--samples", "0"]) == EXIT_INPUT
+    assert capsys.readouterr().err == "input error: --samples must be >= 1, got 0\n"
     assert not list(tmp_path.iterdir())
 
 

@@ -450,6 +450,131 @@ def test_seed_offset_needs_the_cells_right_of_the_window_to_hold_its_last_state(
         assert fvcheck._seed_offset(coarser, p, left, right, g, rho, mom, lead, trail) == want
 
 
+def _counting_fluxes(monkeypatch):
+    calls = []
+    real = fvcore.godunov_flux
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(fvcore, "godunov_flux", counted)
+    return calls
+
+
+def test_finer_grids_reuse_the_fluxes_of_the_coarser_checkpoint(monkeypatch):
+    # The benchmark's refinement computes [4, 4, 8, 14] steps; the first
+    # computed step of each finer grid takes the coarser grid's fluxes.
+    g = GridConfig(-0.4, 0.4, 12, 0.9, 0.2)
+    calls = _counting_fluxes(monkeypatch)
+    per_level = []
+    coarser = None
+    for level in range(4):
+        calls.clear()
+        coarser = evolve(*_BENCH, _grid(g, g.cells * 2**level), coarser=coarser)
+        per_level.append(len(calls))
+    assert per_level == [4, 3, 7, 13]
+
+
+def _falling_back_from(monkeypatch, rho):
+    """Make ``godunov_flux`` report one fallback on the padded density ``rho``, bit for bit."""
+    real = fvcore.godunov_flux
+
+    def patched(p, rho_in, u, lam):
+        frho, fmom, fallbacks = real(p, rho_in, u, lam)
+        return frho, fmom, fallbacks + (rho_in.tobytes() == rho.tobytes())
+
+    monkeypatch.setattr(fvcore, "godunov_flux", patched)
+
+
+def _own_fluxes(p, ck):
+    """The Godunov fluxes of a checkpoint's fields, computed afresh."""
+    frho, fmom, fallbacks = fvcore.godunov_flux(p, ck.rho, ck.mom / ck.rho, 1.0)
+    assert fallbacks == 0
+    return frho, fmom
+
+
+def test_a_fallback_from_the_checkpoint_keeps_no_fluxes(monkeypatch):
+    g = GridConfig(-0.4, 0.4, 12, 0.9, 0.2)
+    _falling_back_from(monkeypatch, evolve(*_BENCH, g).checkpoint.rho)
+    coarser = evolve(*_BENCH, g)
+    monkeypatch.undo()
+    assert coarser.godunov_fallbacks == 1 and coarser.checkpoint.fluxes is None
+    calls = _counting_fluxes(monkeypatch)
+    seeded = evolve(*_BENCH, _grid(g, 24), coarser=coarser)
+    assert seeded.steps_from_coarser == 3 and len(calls) == len(seeded.steps) - 3
+    monkeypatch.undo()
+    assert _same_run(seeded, evolve(*_BENCH, _grid(g, 24)))
+
+
+@pytest.mark.parametrize(
+    "p, left, right, g",
+    [
+        (*_BENCH, GridConfig(-0.4, 0.4, 12, 0.9, 0.2)),
+        (_p_ecg(), State(1.0, 1.0), State(1.0, -1.0), GridConfig(-0.4, 0.4, 40, 0.45, 0.2)),
+        (PressureParams.gcg(1.0, 0.6), State(1.0, 0.0), State(1.5, 0.4), GridConfig(-0.8, 0.8, 20, 0.45, 0.1)),
+    ],
+    ids=["bench-r1s2", "ecg-s1s2", "gcg-godunov"],
+)
+def test_a_chain_keeps_only_the_fluxes_of_its_own_checkpoint(monkeypatch, p, left, right, g):
+    coarser = None
+    for level in range(4):
+        coarser = evolve(p, left, right, _grid(g, g.cells * 2**level), coarser=coarser)
+        ck = coarser.checkpoint
+        assert _same_bits(ck.fluxes, _own_fluxes(p, ck))
+    # A fallback from the third grid's checkpoint, which lies past the
+    # steps that grid took over (its first step reused fluxes): the kept
+    # fluxes are dropped, not carried from the checkpoint it moved on from.
+    first = evolve(p, left, right, g)
+    second = evolve(p, left, right, _grid(g, 2 * g.cells), coarser=first)
+    third = evolve(p, left, right, _grid(g, 4 * g.cells), coarser=second)
+    assert third.checkpoint.steps > third.steps_from_coarser > 0
+    _falling_back_from(monkeypatch, third.checkpoint.rho)
+    third = evolve(p, left, right, _grid(g, 4 * g.cells), coarser=second)
+    monkeypatch.undo()
+    assert third.checkpoint.fluxes is None
+    calls = _counting_fluxes(monkeypatch)
+    fourth = evolve(p, left, right, _grid(g, 8 * g.cells), coarser=third)
+    assert fourth.steps_from_coarser > 0
+    assert len(calls) == len(fourth.steps) - fourth.steps_from_coarser
+    monkeypatch.undo()
+    assert _same_run(fourth, evolve(p, left, right, _grid(g, 8 * g.cells)))
+
+
+def _refinement(p, left, right, g):
+    snaps = [evolve(p, left, right, g)]
+    for level in range(1, 4):
+        snaps.append(evolve(p, left, right, _grid(g, g.cells * 2**level), coarser=snaps[-1]))
+    return snaps
+
+
+@pytest.mark.parametrize(
+    "p, left, right, g",
+    [
+        (*_BENCH, GridConfig(-0.4, 0.4, 12, 0.9, 0.2)),
+        (_p_ecg(), State(1.0, 1.0), State(1.0, -1.0), GridConfig(-0.4, 0.4, 40, 0.45, 0.2)),
+        (_p_ecg(), State(1.0, -1.0), State(1.0, 1.0), GridConfig(-0.4, 0.4, 40, 0.45, 0.2)),
+        (PressureParams.gcg(1.0, 0.6), State(1.0, 0.0), State(1.5, 0.4), GridConfig(-0.8, 0.8, 20, 0.45, 0.1)),
+    ],
+    ids=["bench-r1s2", "ecg-s1s2", "ecg-r1r2", "gcg-godunov"],
+)
+def test_l1_errors_is_l1_error_of_each_grid_bitwise(p, left, right, g):
+    snaps = _refinement(p, left, right, g)
+    sol = solve(p, left, right)
+    assert _same_bits(fvcheck.l1_errors(snaps, sol), [l1_error(s, sol) for s in snaps])
+
+
+def test_l1_errors_raises_what_l1_error_raises():
+    g = GridConfig(-1.0, 1.0, 50, 0.45, 0.2, Scheme.LAX_FRIEDRICHS)
+    p, left, right = PressureParams.transport(), State(1.0, 1.0), State(1.0, -1.0)
+    with pytest.raises(UnsupportedComparisonError):
+        fvcheck.l1_errors([evolve(p, left, right, g)], solve(p, left, right))
+    snaps = _refinement(*_BENCH, GridConfig(-0.4, 0.4, 12, 0.9, 0.2))
+    other = evolve(_BENCH[0], _BENCH[1], State(0.3, -0.32), GridConfig(-0.4, 0.4, 12, 0.9, 0.2))
+    with pytest.raises(DomainError):
+        fvcheck.l1_errors([*snaps, other], solve(*_BENCH))
+
+
 def test_checkpoint_is_left_out_of_repr_and_equality():
     snap = evolve(*_BENCH, GridConfig(-0.4, 0.4, 12, 0.9, 0.2))
     assert snap.checkpoint is not None and snap.checkpoint.steps == 3
