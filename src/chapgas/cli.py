@@ -363,6 +363,9 @@ def _profile_rows(
         width = max(span[1] - span[0], 1e-3)
         lo = span[0] - 0.2 * width - 0.05
         hi = span[1] + 0.2 * width + 0.05
+    # Both the xi window and x = xi * t must be finite to be sampled and written.
+    if not (math.isfinite(hi - lo) and math.isfinite(max(abs(lo), abs(hi)) * t)):
+        raise NumericalLimitError(f"profile from xi = {lo!r} to {hi!r} at t = {t!r} beyond the float range")
     xis = np.linspace(lo, hi, samples)
     rho, u = sample_arrays(sol, xis)
     rows = np.column_stack([xis * t, xis, rho, u, _pressure_column(sol.params, rho)]).tolist()

@@ -475,9 +475,9 @@ def star_state(p: PressureParams, rl, ul, rr, ur):
         return h, dphi[0] + dphi[1], noise
 
     cl, cr = np.sqrt(cs2(A, B, n, alpha, sides))
-    y = _star_guess(du, cl, cr, ys[0], ys[1])
-    inf = np.full(y.shape, np.inf)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # once, not per step
+        y = _star_guess(du, cl, cr, ys[0], ys[1])
+        inf = np.full(y.shape, np.inf)
         y = _newton_increasing(mismatch, y, -inf, inf.copy())
     # The last step moved y by at most _TOL_STEP: move phi along with it.
     y_seen, phi_l, phi_r, dphi_l, dphi_r = seen
@@ -526,8 +526,8 @@ def _star_state_one(p: PressureParams, values, shape):
         return h, dphi_l + dphi_r, noise
 
     cl, cr = np.sqrt(cs2(A, B, n, alpha, sides))
-    y = _star_guess(du, cl, cr, yl, yr)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        y = _star_guess(du, cl, cr, yl, yr)
         y = _newton_one(mismatch, y, np.float64(-np.inf), np.float64(np.inf))
     y_seen, phi_l, phi_r, dphi_l, dphi_r = seen
     us = _star_velocity(ul, ur, y - y_seen, phi_l, phi_r, dphi_l, dphi_r)
@@ -561,11 +561,12 @@ def _fan_start(sign, ua, xi, ya, yb, ca, cb):
     y = ya + (2/m) log1p(m r / (m + 2)) with r = sign (xi - ua) / ca - 1
     (y = ya + r as m -> 0). No quadrature is needed. A start that is not
     finite is the bracket's midpoint; every start is clipped to the bracket.
+    Callers run it, and the Newton iteration after it, under one
+    ``np.errstate`` that ignores division by zero, invalid values and overflow.
     """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        m = 2.0 * np.log(cb / ca) / (yb - ya)
-        r = (sign * (xi - ua) - ca) / ca
-        y = ya + _where(abs(m) > _FLAT_M, 2.0 / m * np.log1p(m / (m + 2.0) * r), r)
+    m = 2.0 * np.log(cb / ca) / (yb - ya)
+    r = (sign * (xi - ua) - ca) / ca
+    y = ya + _where(abs(m) > _FLAT_M, 2.0 / m * np.log1p(m / (m + 2.0) * r), r)
     lo, hi = np.minimum(ya, yb), np.maximum(ya, yb)
     return _clip(_where(np.isfinite(y), y, 0.5 * (lo + hi)), lo, hi), lo, hi
 
@@ -612,8 +613,10 @@ def fan_state(p: PressureParams, sign, ra, ua, rb, xi):
         seen[0, idx], seen[1, idx], seen[2, idx] = y, jump, c
         return h, dh, noise
 
-    y, lo, hi = _fan_start(sign, ua, xi, ya, yb, ca, cb)
-    y = _newton_increasing(residual, y, lo, hi, capped=False)
+    # A start that overflows takes the bracket's midpoint, and a step that overflows bisects.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        y, lo, hi = _fan_start(sign, ua, xi, ya, yb, ca, cb)
+        y = _newton_increasing(residual, y, lo, hi, capped=False)
     y_seen, jump, c = seen
     return np.exp(y), _fan_velocity(sign, ua, y - y_seen, jump, c)
 
@@ -631,8 +634,9 @@ def _fan_state_one(p: PressureParams, sign, values, shape):
         seen[:] = y, jump, c
         return h, dh, noise
 
-    y, lo, hi = _fan_start(sign, ua, xi, ya, yb, ca, cb)
-    y = _newton_one(residual, y, lo, hi, capped=False)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        y, lo, hi = _fan_start(sign, ua, xi, ya, yb, ca, cb)
+        y = _newton_one(residual, y, lo, hi, capped=False)
     y_seen, jump, c = seen
     return _shaped(np.exp(y), shape), _shaped(_fan_velocity(sign, ua, y - y_seen, jump, c), shape)
 

@@ -16,8 +16,8 @@ from enum import Enum
 from typing import Optional
 
 from .errors import DomainError, ScheduleError
-from .models import PressureParams, State, eigenvalues, gcg_delta_region, pressure, pressure_law
-from .solver import region_of, solve
+from .models import PressureParams, State, eigenvalues, gcg_delta_region, pressure, pressure_law, shock_radicand
+from .solver import RiemannSolution, region_of, solve
 
 
 class SweepMode(Enum):
@@ -141,27 +141,6 @@ class SweepReport:
         return all(self.flags.values())
 
 
-@dataclass(frozen=True)
-class TransportDeltaTarget:
-    sigma: float
-    rate1: float  # sigma*[rho]  - [rho u]
-    rate2: float  # sigma*[rho u] - [rho u^2]
-    w1_rate: float  # rate1 / sqrt(1 + sigma^2)
-    w2_rate: float
-
-
-def target_transport_delta(left: State, right: State) -> TransportDeltaTarget:
-    """Pressureless delta-shock speed and weight rates for u- > u+."""
-    if not (left.u > right.u):
-        raise DomainError("delta-shock target needs u- > u+")
-    transport = PressureParams.transport()
-    sigma = solve(transport, left, right).delta.sigma
-    t = _delta_targets(transport, left, right, sigma)
-    return TransportDeltaTarget(
-        sigma, t.weight_rate_1, t.weight_rate_2, t.w1_normalized, t.w2_normalized
-    )
-
-
 def target_A_rho_n(left: State, right: State) -> float:
     """Limit of A*(rho*)^n along the pressureless schedule (zero at equal velocities)."""
     if left.u < right.u:
@@ -172,17 +151,6 @@ def target_A_rho_n(left: State, right: State) -> float:
         * (left.u - right.u) ** 2
         / (math.sqrt(left.rho) + math.sqrt(right.rho)) ** 2
     )
-
-
-def target_gcg_delta(
-    left: State, right: State, B: float, alpha: float
-) -> tuple[float, float]:
-    """Delta-shock speed and weight rate of the fixed-B limit model (region V data)."""
-    p = PressureParams.gcg(B, alpha)
-    if not gcg_delta_region(p, left.rho, left.u, right.rho, right.u):
-        raise DomainError("data outside the delta-shock region of the limit model")
-    d = solve(p, left, right).delta
-    return d.sigma, d.weight_rate
 
 
 def threshold_A0(
@@ -198,7 +166,7 @@ def threshold_A0(
     rl, ul, rr, ur = left.rho, left.u, right.rho, right.u
     if rr == rl:
         return math.inf
-    num = (ur - ul) ** 2 - B * (1.0 / rr - 1.0 / rl) * (rr**-alpha - rl**-alpha)
+    num = (ur - ul) ** 2 - shock_radicand(p, rl, rr)
     return rl * rr * num / ((rr - rl) * (rr**n - rl**n))
 
 
@@ -346,9 +314,9 @@ def run_vanishing_pressure_sweep(
         raise ScheduleError("concentration sweep needs a both-vanish schedule")
     if not (left.u > right.u):
         raise ScheduleError("concentration sweep needs u- > u+")
-    sigma = target_transport_delta(left, right).sigma
-    limit = target_A_rho_n(left, right)
-    t = _delta_targets(PressureParams.transport(), left, right, sigma, A_rho_n_limit=limit)
+    limit = solve(PressureParams.transport(), left, right)
+    arn = target_A_rho_n(left, right)
+    t = _delta_targets(limit.params, left, right, limit.delta.sigma, A_rho_n_limit=arn)
     points = _sweep_points(sched, left, right, "S1S2")
     errs = _delta_errors(points, t)
     flags = {
@@ -407,22 +375,21 @@ def run_to_gcg_sweep(
     limit = solve(PressureParams.gcg(sched.B_fixed, sched.alpha), left, right)
     region = region_of(limit).tag
     if region == "V":
-        return _gcg_delta_branch(left, right, sched, tol, limit.delta.sigma)
+        return _gcg_delta_branch(left, right, sched, tol, limit)
     if region == "I":
-        return _gcg_rarefaction_branch(left, right, sched, tol)
+        return _gcg_rarefaction_branch(left, right, sched, tol, limit)
     raise ScheduleError(f"data classifies {region} in the limit model, need V or I")
 
 
 def _gcg_delta_branch(
-    left: State, right: State, sched: Schedule, tol: float, sigma_b: float
+    left: State, right: State, sched: Schedule, tol: float, limit: RiemannSolution
 ) -> SweepReport:
-    """The delta-shock branch, with sigma_b the limit model's delta-shock speed."""
-    B = sched.B_fixed
-    _require_below(sched, "A0", threshold_A0(left, right, B, sched.n, sched.alpha))
+    """The delta-shock branch, with ``limit`` the limit model's delta-shock solution."""
+    _require_below(sched, "A0", threshold_A0(left, right, sched.B_fixed, sched.n, sched.alpha))
     rl, ul, rr, ur = left.rho, left.u, right.rho, right.u
     bound = rl * (ul - ur) ** 2
-    gcg = PressureParams.gcg(B, sched.alpha)
-    t = _delta_targets(gcg, left, right, sigma_b, A_rho_n_bound=bound)
+    gcg = limit.params
+    t = _delta_targets(gcg, left, right, limit.delta.sigma, A_rho_n_bound=bound)
     points = _sweep_points(sched, left, right, "S1S2")
     errs = _delta_errors(points, t)
     flags = {
@@ -450,17 +417,16 @@ def _gcg_delta_branch(
 
 
 def _gcg_rarefaction_branch(
-    left: State, right: State, sched: Schedule, tol: float
+    left: State, right: State, sched: Schedule, tol: float, limit: RiemannSolution
 ) -> SweepReport:
-    B = sched.B_fixed
+    """The two-rarefaction branch, with ``limit`` the limit model's solution."""
     _require_below(sched, "A1", threshold_A1(left, right, sched.n))
-    rho_lim, u_lim = gcg_two_rarefaction_limit(left, right, B, sched.alpha)
-    gcg = PressureParams.gcg(B, sched.alpha)
+    rho_lim, u_lim = gcg_two_rarefaction_limit(left, right, sched.B_fixed, sched.alpha)
     t = SweepTargets(
         rho_star_limit=rho_lim,
         u_star_limit=u_lim,
-        lambda1_limit=eigenvalues(gcg, left)[0],
-        lambda2_limit=eigenvalues(gcg, right)[1],
+        lambda1_limit=eigenvalues(limit.params, left)[0],
+        lambda2_limit=eigenvalues(limit.params, right)[1],
     )
     points = _sweep_points(sched, left, right, "R1R2")
     errs = {

@@ -94,12 +94,6 @@ class WaveSegment:
             raise DomainError("speed is defined only for zero-width segments")
         return self.xi_lo
 
-    @property
-    def state(self) -> State:
-        if self.kind is not SegmentKind.CONSTANT:
-            raise DomainError("state is defined only for constant segments")
-        return self.left
-
 
 @dataclass(frozen=True)
 class SamplePoint:
@@ -109,10 +103,6 @@ class SamplePoint:
     on_delta: bool = False
     at_discontinuity: bool = False
 
-    @property
-    def state(self) -> State:
-        return State(self.rho, self.u)
-
 
 @dataclass(frozen=True)
 class RiemannSolution:
@@ -121,6 +111,17 @@ class RiemannSolution:
     right: State
     segments: tuple[WaveSegment, ...]
     intermediate: Optional[State] = None
+
+    def __post_init__(self):
+        # Only the outer constants reach -inf and +inf: any other edge, or a
+        # delta-shock field, that is not finite overflowed on the way here.
+        # The segments tile the axis, so each inner edge ends a segment.
+        values = [s.xi_hi for s in self.segments[:-1]]
+        d = self.delta
+        if d is not None:
+            values += (d.sigma, d.u_delta, d.weight_rate)
+        if not all(map(math.isfinite, values)):
+            raise NumericalLimitError("wave speed or delta-shock weight beyond the float range")
 
     @property
     def delta(self) -> Optional[DeltaShock]:
@@ -251,11 +252,15 @@ def _gcg_delta(p: PressureParams, left: State, right: State) -> RiemannSolution:
     rl, ul, rr, ur = left.rho, left.u, right.rho, right.u
     if rl != rr:
         try:
-            # Root by root: the product rl * rr underflows once both are below ~1e-162.
-            root = math.sqrt((ur - ul) ** 2 - shock_radicand(p, rl, rr))
-            wr = math.sqrt(rl) * math.sqrt(rr) * root
+            gap = (ur - ul) ** 2 - shock_radicand(p, rl, rr)
         except OverflowError as exc:
             raise NumericalLimitError("delta-shock weight beyond the float range") from exc
+        # gap > 0 throughout region V in exact arithmetic; where it rounds to
+        # 0 or below, the weight is not resolved, and 0 would be wrong.
+        if not gap > 0.0:
+            raise NumericalLimitError("delta-shock weight unresolved: the speed gap rounds to the shock radicand")
+        # Root by root: the product rl * rr underflows once both are below ~1e-162.
+        wr = math.sqrt(rl) * math.sqrt(rr) * math.sqrt(gap)
         sigma = (rr * ur - rl * ul + wr) / (rr - rl)
     else:
         wr = rl * ul - rr * ur
@@ -362,8 +367,9 @@ def forward_curve(p: PressureParams, left: State, rho, fam: WaveFamily):
         base = np.stack([ra, np.log(ra), pressure_law(p.A, p.B, p.n, p.alpha, ra)])[:, None]
         phi, _ = fvcore._curve_distance(p, base, np.log(rb))
         u = left.u - phi[0]
-    if not np.all(np.isfinite(u)):
-        raise NumericalLimitError(f"wave curve beyond the float range at rho = {rho!r}")
+    bad = ~np.isfinite(u)
+    if bad.any():
+        raise NumericalLimitError(f"wave curve beyond the float range at rho = {float(rhos[bad.argmax()])!r}")
     return u.reshape(np.shape(rho)) if np.ndim(rho) else float(u[0])
 
 

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+
+from .errors import NumericalLimitError
 
 WIDTH = 800
 HEIGHT = 600
@@ -25,9 +28,16 @@ class Series:
 
 
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
+    """Round ticks on [lo, hi].
+
+    An axis the floats cannot draw raises NumericalLimitError: a span that
+    is not positive and finite, or below five times the smallest normal
+    float, where the tick step can underflow to 0; or a tick step below the
+    spacing of the floats at a tick, which would never reach ``hi``.
+    """
     raw = (hi - lo) / count
+    if not sys.float_info.min <= raw < math.inf:
+        raise NumericalLimitError(f"cannot draw a plot axis from {lo:.17g} to {hi:.17g}")
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:
@@ -38,6 +48,8 @@ def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
     v = start
     while v <= hi + 1e-12 * abs(step):
         ticks.append(0.0 if abs(v) < 1e-12 * step else v)
+        if v + step == v:
+            raise NumericalLimitError(f"cannot draw a plot axis from {lo:.17g} to {hi:.17g}")
         v += step
     return ticks
 

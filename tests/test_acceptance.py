@@ -26,7 +26,6 @@ from chapgas import (
     run_vacuum_sweep,
     run_vanishing_pressure_sweep,
     solve,
-    target_gcg_delta,
     threshold_A0,
     threshold_A1,
 )
@@ -155,7 +154,7 @@ def test_criterion_05_gcg_delta_shock():
     sym = solve(p, State(1.0, 1.0), State(1.0, -1.0))
     ok = sym.delta.sigma == 0.0 and abs(sym.delta.weight_rate - 2.0) <= 1e-14
     left, right = State(2.0, 1.0), State(1.0, -1.0)
-    sigma, _ = target_gcg_delta(left, right, 0.001, 1.0)
+    sigma = solve(PressureParams.gcg(0.001, 1.0), left, right).delta.sigma
     ok &= abs(delta_speed_quadratic_residual(left, right, 0.001, 1.0, sigma)) <= 1e-12
     lo, hi = gcg_entropy_window(PressureParams.gcg(0.001, 1.0), left, right)
     ok &= lo < sigma < hi

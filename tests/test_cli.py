@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
 import math
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chapgas import (
     GridConfig,
@@ -804,3 +810,133 @@ def test_format_option_is_refused(tmp_path, capsys):
     assert main(args) == EXIT_INPUT
     assert "unrecognized arguments: --format" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+# Inputs that once ended in a traceback, an unbounded tick loop, a numpy
+# warning on stderr, a multi-line message, or exit 0 with NaN or Infinity
+# in the output. Each is a numerical error now: one stderr line, no file.
+_NUMERICAL_LIMITS = {
+    # The xi axis collapses onto 5e307 (-5e299): no span left to draw.
+    "plot-axis-without-span": "plot --model transport --left 1,1e308 --right 1,0",
+    "plot-gcg-axis-without-span": "plot --model gcg --B 1e100 --alpha 0.5 --left 1,1 --right 1,-1e300",
+    # The delta speed's sqrt(rho) * u overflows: sigma is NaN.
+    "plot-delta-speed-nan": "plot --model transport --left 1,1.7e308 --right 1,-1.7e308",
+    # A tick step below the float spacing at the tick: the loop never ended.
+    "plot-tick-step-below-ulp": "plot --model gcg --B 1e-200 --alpha 0.05603172769023899"
+    " --left 1e-300,7.036101643317404e+65 --right 1e-200,-1.3065680673010004e-131",
+    # The profile window's width overflows before np.linspace.
+    "plot-profile-window-overflow": "plot --model transport --left 1e+300,-1.7e+308 --right 1e-200,1.7e+308",
+    # x = xi * t overflows.
+    "solve-profile-x-overflow": "solve --model transport --left 1,-1e10 --right 1,1e10 --samples 2 --t 1e300",
+    # The phase curve overflows: the message named all 320 densities.
+    "plot-phase-curve-one-line": "plot --model gcg --B 5.679040880212651e+165 --alpha 0.7925056580623269"
+    " --left 1e+308,9.956208036808509e-73 --right 1e+200,-1e-200",
+    "solve-transport-delta-speed-nan": "solve --model transport --left 1e300,1e300 --right 1e300,-1e300",
+    "solve-transport-weight-rate-inf": "solve --model transport --left 1,1e308 --right 1,-1e308",
+    "solve-gcg-weight-rate-inf": "solve --model gcg --B 1 --alpha 1 --left 1,1e308 --right 1,-1e308",
+    # An S1+S2 solution whose two shock speeds overflow to -inf, in order.
+    "solve-ecg-shock-speeds-inf": "solve --model ecg --A 9.95114493608514e-184 --B 2.4073917747242204e-88"
+    " --n 1.8669425458103859 --alpha 0.2804499662822417"
+    " --left 1.0,3.1849976813691056e+115 --right 1.5914449758556495e+145,-0.0",
+    # Region V by rounding only: the delta weight's radicand reads -4.2e-104.
+    "solve-gcg-delta-weight-unresolved": "solve --model gcg --B 1.3938427795070714e-05 --alpha 1.0"
+    " --left 6.378102980054121e+201,1e-12 --right 1.8181853926578998e+49,1e-12",
+    # Both sound speeds underflow: the Newton start divided by zero.
+    "classify-star-guess-divide-by-zero": "classify --model gcg --B 1e-300 --alpha 1.0"
+    " --left 1e+200,1.0 --right 8.852837204634122e+218,1e+200",
+}
+
+
+@pytest.mark.parametrize("argv", list(_NUMERICAL_LIMITS.values()), ids=list(_NUMERICAL_LIMITS))
+def test_numerical_limit_exits_3_with_one_line_and_no_file(tmp_path, capsys, argv):
+    out_dir = tmp_path / "out"
+    assert main([*argv.split(), "--out", str(out_dir)]) == EXIT_NUMERICAL
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("numerical error:")
+    assert err.count("\n") == 1
+    assert not out_dir.exists()
+
+
+def test_fan_newton_step_that_overflows_bisects_without_a_warning(tmp_path, capsys):
+    # A point in the 1-fan: toward / dh overflows in the Newton step, which
+    # then bisects the bracket; numpy warned of the overflow on stderr.
+    argv = "plot --model ecg --A 5.090263690023086e-178 --B 3.2079684884971483e+60 --n 2.062471105265873"
+    argv += " --alpha 1.0 --left 8.688405624922037,-8.381653236950847e+94 --right 4.14643410898539e-88,9.753545838932984e+59"
+    assert main([*argv.split(), "--out", str(tmp_path)]) == EXIT_OK
+    assert capsys.readouterr() == ("", "")
+
+
+_MAGNITUDE = st.floats(math.log(1e-300), math.log(1.7e308)).map(math.exp)
+_SPEED = st.one_of(
+    st.just(0.0),
+    st.floats(-3.0, 3.0),
+    st.tuples(st.sampled_from([-1.0, 1.0]), _MAGNITUDE).map(lambda t: t[0] * t[1]),
+)
+_DENSITY = st.one_of(st.floats(1e-2, 1e2), _MAGNITUDE)
+_ALPHA = st.one_of(st.just(1.0), st.floats(0.0, 1.0, exclude_min=True))
+
+
+@st.composite
+def _argv(draw):
+    """solve, classify or plot argv on any model, over the whole float range."""
+    command = draw(st.sampled_from(["solve", "classify", "plot"]))
+    model = draw(st.sampled_from(["ecg", "gcg", "transport"]))
+    argv = [command, "--model", model]
+    if model == "ecg":
+        argv += ["--A", repr(draw(_MAGNITUDE)), "--n", repr(draw(st.floats(1.0, 3.0)))]
+    if model != "transport":
+        argv += ["--B", repr(draw(_MAGNITUDE)), "--alpha", repr(draw(_ALPHA))]
+    for side in ("--left", "--right"):
+        argv += [side, f"{draw(_DENSITY)!r},{draw(_SPEED)!r}"]
+    if command != "classify":
+        samples = draw(st.one_of(st.none(), st.integers(1, 50)))
+        t = draw(st.one_of(st.none(), _MAGNITUDE))
+        argv += ["--samples", str(samples)] if samples else []
+        argv += ["--t", repr(t)] if t else []
+    return argv
+
+
+def _numbers(doc):
+    if isinstance(doc, dict):
+        doc = list(doc.values())
+    if isinstance(doc, list):
+        return [x for v in doc for x in _numbers(v)]
+    return [doc] if isinstance(doc, float) else []
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_argv())
+def test_every_argv_gets_a_documented_exit_and_finite_output(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        out_dir = os.path.join(tmp, "out")
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main([*argv, "--out", out_dir])
+        err = stderr.getvalue()
+        assert code in (EXIT_OK, EXIT_SOFT_FAIL, EXIT_INPUT, EXIT_NUMERICAL)
+        if code in (EXIT_INPUT, EXIT_NUMERICAL):
+            assert err.count("\n") == 1
+            assert err.startswith("input error:" if code == EXIT_INPUT else "numerical error:")
+            assert not os.path.exists(out_dir)
+            return
+        assert code == EXIT_OK and err == ""
+        files = sorted(os.listdir(out_dir)) if os.path.exists(out_dir) else []
+        command, model = argv[0], argv[2]
+        if command == "solve":
+            assert files == (["profile.csv"] if "--samples" in argv else []) + ["solution.json"]
+            doc = json.loads(stdout.getvalue())
+            segs = doc["segments"]
+            # The far-field edges are the only numbers that are not finite.
+            assert (segs[0]["xi_lo"], segs[-1]["xi_hi"]) == (-math.inf, math.inf)
+            segs[0]["xi_lo"] = segs[-1]["xi_hi"] = 0.0
+            assert all(math.isfinite(x) for x in _numbers(doc))
+            if "--samples" in argv:
+                with open(os.path.join(out_dir, "profile.csv"), encoding="utf-8") as fh:
+                    values = [float(v) for line in fh.read().splitlines()[1:] for v in line.split(",")]
+                assert all(math.isfinite(v) for v in values)
+        elif command == "plot":
+            svgs = ["profile_rho.svg", "profile_u.svg"] + (["phase.svg"] if model != "transport" else [])
+            assert files == sorted(svgs)
+        else:
+            assert files == []

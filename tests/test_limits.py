@@ -17,8 +17,6 @@ from chapgas import (
     sample,
     solve,
     target_A_rho_n,
-    target_gcg_delta,
-    target_transport_delta,
     threshold_A0,
     threshold_A1,
 )
@@ -33,28 +31,33 @@ GCG_SIGMA_EXAMPLE = 0.17166126498256906
 GCG_WR_EXAMPLE = 2.828338735017431
 
 
+def _transport_targets(left, right):
+    """The concentration sweep's delta-shock targets on the datum."""
+    sched = Schedule.both_vanish_decades(1, 2, 2.0, 0.5)
+    return run_vanishing_pressure_sweep(left, right, sched).targets
+
+
 def test_target_transport_delta_symmetric():
-    t = target_transport_delta(State(1, 1), State(1, -1))
+    t = _transport_targets(State(1, 1), State(1, -1))
     assert t.sigma == 0.0
-    assert t.rate1 == pytest.approx(2.0)
-    assert t.rate2 == pytest.approx(0.0)
-    assert t.w1_rate == pytest.approx(2.0)  # sigma = 0 so no normalization
+    assert t.weight_rate_1 == pytest.approx(2.0)
+    assert t.weight_rate_2 == pytest.approx(0.0)
+    assert t.w1_normalized == pytest.approx(2.0)  # sigma = 0 so no normalization
 
 
 def test_target_transport_delta_asymmetric():
-    t = target_transport_delta(State(4, 2), State(1, -1))
+    t = _transport_targets(State(4, 2), State(1, -1))
     assert t.sigma == pytest.approx(1.0)
     drho, dm, dfl = 1.0 - 4.0, -1.0 - 8.0, 1.0 - 16.0
-    assert t.rate1 == pytest.approx(t.sigma * drho - dm)
-    assert t.rate2 == pytest.approx(t.sigma * dm - dfl)
-    assert t.w1_rate == pytest.approx(t.rate1 / math.sqrt(2.0))
+    assert t.weight_rate_1 == pytest.approx(t.sigma * drho - dm)
+    assert t.weight_rate_2 == pytest.approx(t.sigma * dm - dfl)
+    assert t.w1_normalized == pytest.approx(t.weight_rate_1 / math.sqrt(2.0))
 
 
 def test_target_transport_delta_requires_compression():
-    with pytest.raises(DomainError):
-        target_transport_delta(State(1, 0), State(1, 0))
-    with pytest.raises(DomainError):
-        target_transport_delta(State(1, -1), State(1, 1))
+    transport = PressureParams.transport()
+    assert solve(transport, State(1, 0), State(1, 0)).delta is None
+    assert solve(transport, State(1, -1), State(1, 1)).delta is None
 
 
 def test_target_A_rho_n():
@@ -93,14 +96,16 @@ def test_threshold_A1_sentinels():
 
 
 def test_target_gcg_delta_symmetric():
-    sig, wr = target_gcg_delta(State(1, 1), State(1, -1), 0.01, 1.0)
+    d = solve(PressureParams.gcg(0.01, 1.0), State(1, 1), State(1, -1)).delta
+    sig, wr = d.sigma, d.weight_rate
     assert sig == 0.0
     assert wr == pytest.approx(2.0)
 
 
 def test_target_gcg_delta_asymmetric_solves_quadratic():
     left, right = State(2, 1), State(1, -1)
-    sig, wr = target_gcg_delta(left, right, 0.001, 1.0)
+    d = solve(PressureParams.gcg(0.001, 1.0), left, right).delta
+    sig, wr = d.sigma, d.weight_rate
     assert sig == pytest.approx(GCG_SIGMA_EXAMPLE, rel=1e-12)
     assert wr == pytest.approx(GCG_WR_EXAMPLE, rel=1e-12)
     assert abs(delta_speed_quadratic_residual(left, right, 0.001, 1.0, sig)) <= 1e-12
@@ -109,8 +114,7 @@ def test_target_gcg_delta_asymmetric_solves_quadratic():
 
 
 def test_target_gcg_delta_outside_region():
-    with pytest.raises(DomainError):
-        target_gcg_delta(State(1, -1), State(1, 1), 0.01, 1.0)
+    assert solve(PressureParams.gcg(0.01, 1.0), State(1, -1), State(1, 1)).delta is None
 
 
 def test_schedule_validation():
